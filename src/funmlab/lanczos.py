@@ -95,7 +95,7 @@ def lanczos_core(matvec, x, k, ops, breakdown_tol, norm_hint, eps):
     q_prev = np.zeros(n)
     q = ops.div(x, x_norm)
     beta = 0.0
-    columns = []
+    basis = np.empty((n, k))
     alphas = []
     betas = []
     breakdown = False
@@ -103,7 +103,7 @@ def lanczos_core(matvec, x, k, ops, breakdown_tol, norm_hint, eps):
     q_next = np.zeros(n)
 
     for i in range(1, k + 1):
-        columns.append(q)
+        basis[:, i - 1] = q
         w = matvec(q)
         w = ops.sub(w, ops.scale(beta, q_prev))
         alpha = ops.dot(w, q)
@@ -125,13 +125,16 @@ def lanczos_core(matvec, x, k, ops, breakdown_tol, norm_hint, eps):
         q = ops.div(w, beta_next)
         beta = beta_next
 
+    steps = len(alphas)
+    if steps < k:
+        basis = np.ascontiguousarray(basis[:, :steps])
     return LanczosDecomposition(
-        q_basis=np.column_stack(columns),
+        q_basis=basis,
         alphas=np.asarray(alphas, dtype=float),
         betas=np.asarray(betas, dtype=float),
         beta_next=float(beta_next),
         q_next=np.asarray(q_next, dtype=float),
-        steps_taken=len(alphas),
+        steps_taken=steps,
         requested_k=k,
         breakdown=breakdown,
         x_norm=float(x_norm),

@@ -264,15 +264,14 @@ def test_criterion_07_potential_inequality():
                 )
 
 
-def test_criterion_08_degree_separation():
+def test_criterion_08_degree_separation(interval_min_degree):
     with Criterion(8, "degree separation vs point interpolation", 600):
         eta = 1e-4
         min_degrees = {}
         exact_degrees = {}
         for kappa in (16.0, 64.0, 256.0):
             spec = hard_spectrum(kappa, eta)
-            degree = min_degree_for(INV, spec.intervals, target=1.0 / 6.0,
-                                    k_max=200)
+            degree = interval_min_degree(kappa)
             assert degree is not None
             min_degrees[kappa] = degree
             exact_degrees[kappa] = spec.num_buckets * spec.z

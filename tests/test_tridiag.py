@@ -6,6 +6,7 @@ import pytest
 
 from funmlab import (
     ChebyshevExpansion,
+    DomainError,
     StructuralError,
     SymmetricOperator,
     TridiagonalMatrix,
@@ -50,9 +51,16 @@ class TestExamples:
         with pytest.raises(StructuralError):
             TridiagonalMatrix(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(DomainError):
+            TridiagonalMatrix(np.array([1.0, bad, 3.0]), np.array([1.0, 2.0]))
+        with pytest.raises(DomainError):
+            TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.array([bad, 2.0]))
+
 
 class TestContract:
-    @pytest.mark.parametrize("k", [2, 5, 20, 60, 120, 200])
+    @pytest.mark.parametrize("k", [2, 5, 20, 60, 120, 200, 400])
     def test_backward_stability(self, k):
         rng = np.random.default_rng(k)
         t = random_tridiagonal(rng, k)
@@ -107,6 +115,17 @@ class TestApplyScalarToE1:
         y = apply_scalar_to_e1(t, lambda x: x)
         first_col = t.to_dense()[:, 0]
         assert np.linalg.norm(y - first_col) <= 1e-12 * t.norm_bound()
+
+    def test_matches_dense_eigh(self):
+        rng = np.random.default_rng(5)
+        k = 300
+        t = random_tridiagonal(rng, k)
+        values, vectors = np.linalg.eigh(t.to_dense())
+        f = np.exp
+        expected = vectors @ (f(values) * vectors[0, :])
+        y = apply_scalar_to_e1(t, f)
+        f_norm = np.max(np.abs(f(values)))
+        assert np.linalg.norm(y - expected) <= 1e-12 * f_norm
 
     def test_sqrt_of_diagonal(self):
         t = TridiagonalMatrix(np.array([1.0, 4.0]), np.array([0.0]))
