@@ -140,6 +140,12 @@ class SymmetricOperator:
     def kind(self):
         return self._kind
 
+    @property
+    def data(self):
+        """Stored array for ``kind`` (dense, canonical CSR, diagonal vector
+        or Gram factor ``B``); shared, not copied, so do not modify it."""
+        return self._data
+
     def matvec(self, v):
         """Apply the operator; accumulation order is ascending index."""
         v = check_vector(v, self.n)

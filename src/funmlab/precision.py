@@ -6,6 +6,13 @@ stated in.  Every scalar operation is rounded to nearest-even at the
 configured width, including each fused step inside dot products, norms,
 and matrix-vector accumulations (all accumulated in ascending index
 order, mirroring the exact path).
+
+Emulated matvecs run one kernel per storage kind: dense rows sum in
+lockstep over columns, CSR rows over their stored entries, and a
+diagonal is one rounded product, so sparse and diagonal operators are
+never densified.  Only the Gram form ``B^T B`` is still densified and
+rounded as one matrix, which is why its 52-bit run differs from the
+exact path (a known defect; see :meth:`EmulatedArithmetic.make_matvec`).
 """
 
 from __future__ import annotations
@@ -55,7 +62,10 @@ def round_to(x, cfg: PrecisionConfig):
     bits = cfg.mantissa_bits
     if np.isscalar(x) and isinstance(x, (int, float)):
         return _round_scalar(float(x), bits)
-    x = np.asarray(x, dtype=float)
+    return _round_array(np.asarray(x, dtype=float), bits)
+
+
+def _round_array(x, bits):
     mantissa, exponent = np.frexp(x)
     scale = 2.0 ** (bits + 1)
     return np.ldexp(np.rint(mantissa * scale) / scale, exponent)
@@ -78,15 +88,10 @@ class EmulatedArithmetic:
         self._bits = cfg.mantissa_bits
 
     def _rnd(self, v):
-        mantissa, exponent = np.frexp(v)
-        scale = 2.0 ** (self._bits + 1)
-        return np.ldexp(np.rint(mantissa * scale) / scale, exponent)
+        return _round_array(v, self._bits)
 
     def round(self, v):
         return self._rnd(np.asarray(v, dtype=float))
-
-    def elementwise(self, value):
-        return self._rnd(value)
 
     def scale(self, c, v):
         return self._rnd(c * v)
@@ -97,14 +102,8 @@ class EmulatedArithmetic:
     def add(self, u, v):
         return self._rnd(u + v)
 
-    def mul(self, u, v):
-        return self._rnd(u * v)
-
     def div(self, v, c):
         return self._rnd(v / c)
-
-    def sqrt(self, x):
-        return float(self._rnd(np.sqrt(x)))
 
     def dot(self, u, v):
         products = self._rnd(u * v).tolist()
@@ -135,8 +134,52 @@ class EmulatedArithmetic:
         return acc
 
     def make_matvec(self, a: SymmetricOperator):
+        """Return ``v -> fl(A v)`` with the entries of ``A`` rounded once.
+
+        Each storage kind has its own kernel, and each gives the values of
+        :meth:`matvec_dense` on the rounded dense matrix (the zeros it
+        skips add nothing).  Diagonal storage costs one rounded product
+        per entry; CSR rounds each stored product and sums every row in
+        ascending column order.  Only the Gram form ``B^T B`` is densified
+        and rounded as one matrix, a product the exact path never forms,
+        so its 52-bit run differs from the exact run (a known defect).
+        """
+        if a.kind == "diagonal":
+            diag = self._rnd(a.data)
+            return lambda v: self._rnd(diag * v)
+        if a.kind == "sparse":
+            return self._csr_matvec(a.data)
         dense = self._rnd(a.to_dense())
         return lambda v: self.matvec_dense(dense, v)
+
+    def _csr_matvec(self, csr):
+        """Emulated CSR kernel: rows accumulate in lockstep over positions.
+
+        Step ``p`` adds the ``p``-th stored product of every row holding
+        more than ``p`` entries; the first product seeds each row, so a
+        row of ``m`` entries sees ``m - 1`` rounded additions in ascending
+        column order, and an empty row stays zero.
+        """
+        data = self._rnd(csr.data)
+        indices = csr.indices
+        starts = csr.indptr[:-1]
+        lengths = np.diff(csr.indptr)
+        steps = []
+        for p in range(int(lengths.max(initial=0))):
+            rows = np.flatnonzero(lengths > p)
+            steps.append((rows, starts[rows] + p))
+
+        def matvec(v):
+            products = self._rnd(data * v[indices])
+            acc = np.zeros(csr.shape[0])
+            if steps:
+                rows, positions = steps[0]
+                acc[rows] = products[positions]
+            for rows, positions in steps[1:]:
+                acc[rows] = self._rnd(acc[rows] + products[positions])
+            return acc
+
+        return matvec
 
 
 @dataclass(frozen=True)

@@ -92,13 +92,18 @@ class TestDeltaBarProbe:
         _, delta_points = minimax(INV, points, k - 1)
         assert delta_intervals > delta_points
 
-    def test_interval_min_degree_strictly_above_near_points(self):
+    def test_interval_min_degree_strictly_above_near_points(
+        self, interval_min_degree
+    ):
         # same eigenvalues, radius 1e-4 vs 1e-12: nested domains force the
-        # wider intervals to need strictly more degree for the 1/6 target
+        # wider intervals to need strictly more degree for the 1/6 target.
+        # The wide degree is the shared kappa = 64 scan; the scan stops at
+        # the first degree that meets the target, so its k_max of 200
+        # gives the same answer as a cap of 60 would.
         from funmlab import min_degree_for
 
         spec = hard_spectrum(64.0, 1e-4)
-        wide = min_degree_for(INV, spec.intervals, target=1.0 / 6.0, k_max=60)
+        wide = interval_min_degree(64.0)
         narrow_domain = IntervalUnion.from_points(
             spec.eigenvalues, radius=1e-12
         )

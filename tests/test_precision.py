@@ -1,10 +1,12 @@
 """Emulated arithmetic contracts, the stability diagnostics, and the
 Paige-inequality reports."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from funmlab import (
     PrecisionConfig,
@@ -18,6 +20,30 @@ from funmlab import (
 )
 from funmlab.lanczos import LanczosDecomposition
 from funmlab.precision import EmulatedArithmetic, diagnose
+
+BITS = (8, 16, 24, 52)
+
+
+def ragged_csr(seed):
+    """Symmetric CSR with an empty row, single-entry rows and rows of
+    unequal length (row 0 is empty; row 1 holds only its diagonal)."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    m = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.15)
+    m = np.triu(m) + np.triu(m, 1).T
+    m[0, :] = m[:, 0] = 0.0
+    m[1, :] = m[:, 1] = 0.0
+    m[1, 1] = 1.5 + 2.0**-20
+    op = SymmetricOperator.from_sparse(sp.csr_matrix(m))
+    lengths = np.diff(op.data.indptr)
+    assert lengths[0] == 0 and 1 in lengths[1:] and lengths.max() >= 4
+    return op, rng
+
+
+def diagonally_dominant(a):
+    """``a`` shifted by more than its largest absolute row sum: SPD."""
+    shift = abs(a.data).sum(axis=1).max() + 1.0
+    return SymmetricOperator.from_sparse(a.data + shift * sp.identity(a.n))
 
 
 def random_unit_symmetric(seed, n):
@@ -143,6 +169,99 @@ class TestEmulatedMatvec:
                 # storage rounding of A itself costs one extra eps factor
                 bound += norm_m * np.linalg.norm(w) * cfg.epsilon * n
                 assert np.linalg.norm(emulated - exact) <= bound
+
+
+class TestStorageKernels:
+    """The per-kind emulated matvecs agree with the densified kernel."""
+
+    def operators(self):
+        a, rng = ragged_csr(20)
+        diag = SymmetricOperator.from_diagonal(rng.standard_normal(40) * 3.0)
+        return (a, diag), rng
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_equal_to_rounded_dense_kernel(self, bits):
+        ar = EmulatedArithmetic(PrecisionConfig(bits))
+        (csr, diag), rng = self.operators()
+        for a in (csr, diag):
+            dense = ar.round(a.to_dense())
+            matvec = ar.make_matvec(a)
+            for _ in range(5):
+                v = rng.standard_normal(a.n) * 10.0 ** rng.integers(-3, 4)
+                # array_equal compares values, so a zero's sign is free
+                assert np.array_equal(matvec(v), ar.matvec_dense(dense, v))
+
+    def test_full_width_kernels_equal_exact_matvec(self):
+        ar = EmulatedArithmetic(PrecisionConfig(52))
+        (csr, diag), rng = self.operators()
+        for a in (csr, diag):
+            v = rng.standard_normal(a.n)
+            assert np.array_equal(ar.make_matvec(a)(v), a.matvec(v))
+
+    def test_sparse_and_diagonal_never_densified(self, monkeypatch):
+        (csr, diag), rng = self.operators()
+        spd = diagonally_dominant(csr)
+
+        def refuse(self):
+            raise AssertionError(f"to_dense called on {self!r}")
+
+        monkeypatch.setattr(SymmetricOperator, "to_dense", refuse)
+        ar = EmulatedArithmetic(PrecisionConfig(16))
+        for a in (csr, diag, spd):
+            ar.make_matvec(a)(rng.standard_normal(a.n))
+            lanczos_emulated(a, rng.standard_normal(a.n), 8, PrecisionConfig(16))
+        cg_emulated(spd, rng.standard_normal(spd.n), 8, PrecisionConfig(16))
+
+    def test_full_width_lanczos_on_csr_equals_exact_run(self):
+        a, rng = ragged_csr(21)
+        x = rng.standard_normal(a.n)
+        exact = lanczos_decompose(a, x, 20, breakdown_tol=0.0)
+        emulated, _ = lanczos_emulated(a, x, 20, PrecisionConfig(52))
+        for field in ("q_basis", "alphas", "betas", "beta_next", "q_next",
+                      "steps_taken"):
+            assert np.array_equal(getattr(emulated, field),
+                                  getattr(exact, field)), field
+
+    def test_full_width_cg_on_csr_equals_exact_matvec_run(self, monkeypatch):
+        # at 52 bits every rounding is the identity, so the CSR kernel must
+        # reproduce the recurrence driven by the exact CSR product
+        csr, rng = ragged_csr(22)
+        a = diagonally_dominant(csr)
+        b = rng.standard_normal(a.n)
+        cfg = PrecisionConfig(52)
+        kernel = cg_emulated(a, b, 15, cfg)
+        monkeypatch.setattr(EmulatedArithmetic, "make_matvec",
+                            lambda self, op: op.matvec)
+        exact = cg_emulated(a, b, 15, cfg)
+        assert kernel.iterations == exact.iterations
+        for field in ("iterates", "residual_norms", "alphas", "betas"):
+            assert np.array_equal(getattr(kernel, field),
+                                  getattr(exact, field)), field
+
+
+class TestEmulatedReductions:
+    """Emulated dot and norm against a scalar loop of ``round_to``."""
+
+    @staticmethod
+    def reference_sum(terms, cfg):
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = round_to(acc + t, cfg)
+        return acc
+
+    @pytest.mark.parametrize("bits", BITS + (5, 11))
+    def test_dot_and_norm_match_scalar_loop(self, bits):
+        cfg = PrecisionConfig(bits)
+        ar = EmulatedArithmetic(cfg)
+        rng = np.random.default_rng(bits)
+        for n in (1, 2, 7, 64):
+            u = rng.standard_normal(n) * 10.0 ** rng.integers(-4, 5, n)
+            v = rng.standard_normal(n)
+            products = [round_to(float(a) * float(b), cfg) for a, b in zip(u, v)]
+            assert ar.dot(u, v) == self.reference_sum(products, cfg)
+            squares = [round_to(float(a) * float(a), cfg) for a in u]
+            expected = round_to(math.sqrt(self.reference_sum(squares, cfg)), cfg)
+            assert ar.norm(u) == expected
 
 
 class TestEmulatedLanczos:
