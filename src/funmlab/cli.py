@@ -215,8 +215,6 @@ def _spectrum_of(a: SymmetricOperator):
 # -- studies ------------------------------------------------------------------
 
 def run_apply(cfg: ExperimentConfig):
-    if cfg.k is None:
-        raise StructuralError("apply requires --k")
     f = scalar_function_by_name(cfg.function or "identity")
     a = build_operator(cfg)
     x = _start_vector(cfg, a.n)
@@ -245,8 +243,6 @@ def run_apply(cfg: ExperimentConfig):
 
 
 def run_solve(cfg: ExperimentConfig):
-    if cfg.k is None:
-        raise StructuralError("solve requires --k")
     a = build_operator(cfg)
     b = _start_vector(cfg, a.n)
     spectrum = _spectrum_of(a)
@@ -284,8 +280,6 @@ def run_solve(cfg: ExperimentConfig):
 
 
 def run_exp(cfg: ExperimentConfig):
-    if cfg.eps is None:
-        raise StructuralError("exp requires --eps")
     a = build_operator(cfg)
     x = _start_vector(cfg, a.n)
     x_norm = float(np.linalg.norm(x))
@@ -315,8 +309,6 @@ def run_exp(cfg: ExperimentConfig):
 
 
 def run_step(cfg: ExperimentConfig):
-    if cfg.gamma is None or cfg.eps is None:
-        raise StructuralError("step requires --gamma and --eps")
     params = StepParams(cfg.gamma, cfg.eps)
     grid = np.linspace(-0.5, 0.5, 10_001)
     s = params.step_values(grid)
@@ -363,8 +355,6 @@ def run_step(cfg: ExperimentConfig):
 
 
 def run_topsv(cfg: ExperimentConfig):
-    if cfg.delta is None:
-        raise StructuralError("topsv requires --delta")
     trials = cfg.trials or 50
     factor = _rect_factor(cfg)
     sigma = float(np.linalg.norm(factor, 2))
@@ -396,8 +386,6 @@ def run_topsv(cfg: ExperimentConfig):
 
 
 def run_lowerbound(cfg: ExperimentConfig):
-    if cfg.kappa is None or cfg.eta is None:
-        raise StructuralError("lowerbound requires --kappa and --eta")
     target = cfg.target if cfg.target is not None else 1.0 / 6.0
     kmax = cfg.kmax or 80
     spec = hard_spectrum(cfg.kappa, cfg.eta, z_cap=cfg.zcap)
@@ -433,8 +421,6 @@ def run_lowerbound(cfg: ExperimentConfig):
 
 
 def run_precision_sweep(cfg: ExperimentConfig):
-    if cfg.k is None:
-        raise StructuralError("precision-sweep requires --k")
     a = build_operator(cfg)
     x = _start_vector(cfg, a.n)
     rows = []
@@ -473,8 +459,6 @@ def run_precision_sweep(cfg: ExperimentConfig):
 
 
 def run_paige_check(cfg: ExperimentConfig):
-    if cfg.k is None:
-        raise StructuralError("paige-check requires --k")
     bits = cfg.bit_list()
     if len(bits) != 1:
         raise StructuralError("paige-check takes exactly one --bits value")

@@ -2,9 +2,14 @@
 
 The best degree-d approximation is found as a linear program in epigraph
 form on a Chebyshev-distributed grid, followed by one exchange pass that
-re-solves with the local extrema of the error adjoined.  The variables
-live in the Chebyshev basis of the union's hull, which keeps the LP
-well conditioned up to degree ~200.
+re-solves with the local extrema of the error adjoined.  Each LP is solved
+by constraint generation on that same grid: it runs on an active set of
+grid points and adds every point that the current solution violates until
+none does, which gives the full-grid optimum while passing the solver a
+few percent of the rows.  The variables live in the Chebyshev basis of
+the union's hull, which keeps the LP well conditioned on one interval up
+to degree ~200; on the clustered hard-spectrum grids its columns become
+numerically rank deficient past degree ~80.
 """
 
 from __future__ import annotations
@@ -99,15 +104,27 @@ def chebyshev_columns(x, hull, ncols):
     return cols
 
 
-def _solve_epigraph(grid, values, hull, degree, constraint_at_zero):
+def _solve_epigraph(grid, values, hull, degree, constraint_at_zero, seeds):
+    """Epigraph LP ``min t`` s.t. ``|p(x) - f(x)| <= t`` on every grid point.
+
+    Solved by constraint generation: the LP runs on the rows of an active
+    set that starts at ``seeds``, then every grid point whose error exceeds
+    the LP level by more than 1e-12 relative joins the set, until none
+    does.  Each round adds a point of a finite grid, so the loop ends; each
+    subset LP relaxes the full one and the accepted solution is feasible
+    for it, so the result is the full-grid optimum.
+
+    Each LP goes to HiGHS's interior-point method (with crossover) first:
+    the dual simplex stops up to ~1e-7 above the optimum, which is 1e-3
+    relative at delta ~ 1e-4.  Near and past degree ~80 the Chebyshev
+    columns on the hard spectra are numerically rank deficient and either
+    method can stop without a solution on some LPs, so an LP that the
+    interior-point method fails is handed to the dual simplex.
+
+    Returns the coefficients, ``|p - f|`` on the whole grid and the level.
+    """
     ncols = degree + 1
     phi = chebyshev_columns(grid, hull, ncols)
-    npts = grid.size
-    a_ub = np.zeros((2 * npts, ncols + 1))
-    a_ub[:npts, :ncols] = phi
-    a_ub[npts:, :ncols] = -phi
-    a_ub[:, ncols] = -1.0
-    b_ub = np.concatenate([values, -values])
     cost = np.zeros(ncols + 1)
     cost[ncols] = 1.0
     bounds = [(None, None)] * ncols + [(0.0, None)]
@@ -118,13 +135,44 @@ def _solve_epigraph(grid, values, hull, degree, constraint_at_zero):
         a_eq[0, :ncols] = chebyshev_columns(np.array([0.0]), hull, ncols)[0]
         b_eq = np.array([float(constraint_at_zero)])
 
-    result = linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=bounds, method="highs",
-    )
-    if not result.success:
-        raise SolverFailureError(f"minimax LP failed: {result.message}")
-    return result.x[:ncols]
+    active = np.zeros(grid.size, dtype=bool)
+    active[seeds] = True
+    while True:
+        rows, rhs = phi[active], values[active]
+        a_ub = np.zeros((2 * rhs.size, ncols + 1))
+        a_ub[:rhs.size, :ncols] = rows
+        a_ub[rhs.size:, :ncols] = -rows
+        a_ub[:, ncols] = -1.0
+        b_ub = np.concatenate([rhs, -rhs])
+        for method in ("highs-ipm", "highs-ds"):
+            result = linprog(
+                cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                bounds=bounds, method=method,
+            )
+            if result.success:
+                break
+        else:
+            raise SolverFailureError(f"minimax LP failed: {result.message}")
+        coeffs, level = result.x[:ncols], result.x[ncols]
+        err = np.abs(phi @ coeffs - values)
+        violated = ~active & (err > level * (1.0 + 1e-12))
+        if not violated.any():
+            return coeffs, err, level
+        active |= violated
+
+
+def _interval_seeds(domain):
+    """Grid indices of each interval's endpoints and middle node."""
+    m = domain.grid_per_interval
+    seeds, start = [], 0
+    for lo, hi in domain.intervals:
+        if lo == hi:
+            seeds.append(start)
+            start += 1
+        else:
+            seeds.extend((start, start + (m - 1) // 2, start + m - 1))
+            start += m
+    return np.array(seeds)
 
 
 def _local_extrema(domain, expansion, f, per_interval):
@@ -147,8 +195,12 @@ def minimax(f, domain: IntervalUnion, degree, constraint_at_zero=None):
     """Best (grid) uniform approximation of ``f`` on ``domain``.
 
     Returns ``(expansion, delta)`` where ``delta`` is the maximum error
-    over the post-refinement grid.  ``constraint_at_zero`` adds the
-    interpolation condition ``p(0) = value``.
+    of ``expansion``, measured over the whole post-refinement grid; it is
+    never an LP level, so it cannot understate the error.  Both LPs are
+    solved by constraint generation on the full grid, the exchange
+    re-solve starting from the base solution's near-binding points and the
+    new extrema.  ``constraint_at_zero`` adds the interpolation condition
+    ``p(0) = value``.
     """
     if degree < 0:
         raise StructuralError("degree must be nonnegative")
@@ -168,18 +220,21 @@ def minimax(f, domain: IntervalUnion, degree, constraint_at_zero=None):
 
     base = domain.grid()
     values = evaluate_scalar(f, base)
-    coeffs = _solve_epigraph(base, values, hull, degree, constraint_at_zero)
+    coeffs, err, level = _solve_epigraph(
+        base, values, hull, degree, constraint_at_zero, _interval_seeds(domain)
+    )
     expansion = ChebyshevExpansion(hull, coeffs)
 
     dense = max(_REFINE_FACTOR * domain.grid_per_interval, 32)
     extra = _local_extrema(domain, expansion, f, dense)
     if extra.size:
-        refined = np.unique(np.concatenate([base, extra]))
-        coeffs = _solve_epigraph(
-            refined, evaluate_scalar(f, refined), hull, degree, constraint_at_zero
+        grid = np.unique(np.concatenate([base, extra]))
+        near = base[err >= level * (1.0 - 1e-6)]
+        seeds = np.searchsorted(grid, np.concatenate([near, extra]))
+        coeffs, _, _ = _solve_epigraph(
+            grid, evaluate_scalar(f, grid), hull, degree, constraint_at_zero, seeds
         )
         expansion = ChebyshevExpansion(hull, coeffs)
-        grid = refined
     else:
         grid = base
 

@@ -1,16 +1,22 @@
 """Grid-LP minimax oracle: worked optima, equioscillation, monotonicity."""
 
+import importlib
+
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval, chebvander
+from scipy.optimize import linprog
 
 from funmlab import (
     CapacityError,
     DomainError,
     IntervalUnion,
     StructuralError,
+    hard_spectrum,
     min_degree_for,
     minimax,
 )
+from funmlab.chebyshev import to_unit
 from funmlab.functions import inverse_function
 
 INV = inverse_function()
@@ -143,3 +149,109 @@ class TestMinDegree:
     def test_validates_target(self):
         with pytest.raises(DomainError):
             min_degree_for(INV, IntervalUnion.single(0.5, 1.0), target=0.0, k_max=3)
+
+
+def _full_grid_lp(grid, values, hull, degree, constraint_at_zero):
+    """The epigraph LP on every point of ``grid``, built from numpy's
+    Chebyshev Vandermonde matrix and solved by HiGHS's dual simplex with
+    tight tolerances."""
+    ncols = degree + 1
+    phi = chebvander(to_unit(grid, hull), degree)
+    a_ub = np.block([[phi, -np.ones((grid.size, 1))],
+                     [-phi, -np.ones((grid.size, 1))]])
+    a_eq = b_eq = None
+    if constraint_at_zero is not None:
+        a_eq = np.append(chebvander(to_unit(np.array([0.0]), hull), degree), 0.0)[None]
+        b_eq = [constraint_at_zero]
+    result = linprog(
+        np.append(np.zeros(ncols), 1.0), A_ub=a_ub,
+        b_ub=np.concatenate([values, -values]), A_eq=a_eq, b_eq=b_eq,
+        bounds=[(None, None)] * ncols + [(0.0, None)], method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    assert result.success, result.message
+    return result.x[:ncols]
+
+
+def full_grid_delta(f, domain, degree, constraint_at_zero=None):
+    """Oracle for ``minimax``'s delta: the full-grid LP, then the full-grid
+    LP again with the local maxima of its error on an 8x denser uniform
+    sample adjoined, then the measured sup on that refined grid."""
+    hull = domain.hull
+    grid = domain.grid()
+    coeffs = _full_grid_lp(grid, f(grid), hull, degree, constraint_at_zero)
+    extra = []
+    for lo, hi in domain.intervals:
+        if lo == hi:
+            continue
+        xs = np.linspace(lo, hi, max(8 * domain.grid_per_interval, 32))
+        err = np.abs(chebval(to_unit(xs, hull), coeffs) - f(xs))
+        interior = (err[1:-1] >= err[:-2]) & (err[1:-1] >= err[2:])
+        extra += [xs[1:-1][interior], [lo, hi]]
+    if extra:
+        grid = np.unique(np.concatenate([grid, *extra]))
+        coeffs = _full_grid_lp(grid, f(grid), hull, degree, constraint_at_zero)
+    delta = float(np.max(np.abs(chebval(to_unit(grid, hull), coeffs) - f(grid))))
+    return delta, float(np.max(np.abs(f(grid))))
+
+
+class TestConstraintGeneration:
+    """``minimax`` solves its LPs on an active set of grid points; the
+    answer must be the full-grid LP's."""
+
+    @staticmethod
+    def assert_matches_oracle(domain, degree, constraint_at_zero=None):
+        _, delta = minimax(INV, domain, degree, constraint_at_zero)
+        reference, scale = full_grid_delta(
+            INV.evaluate, domain, degree, constraint_at_zero
+        )
+        # 1e-6 relative; the absolute floor covers deltas at the LP's
+        # resolution (delta ~ 1e-10 on kappa = 16 at degree 48)
+        assert abs(delta - reference) <= 1e-6 * reference + 1e-10 * scale, (
+            delta, reference)
+
+    @pytest.mark.parametrize("kappa", [16.0, 64.0, 256.0])
+    @pytest.mark.parametrize("degree", [0, 5, 20, 48])
+    def test_hard_spectra(self, kappa, degree):
+        self.assert_matches_oracle(hard_spectrum(kappa, 1e-4).intervals, degree)
+
+    def test_single_interval(self):
+        self.assert_matches_oracle(IntervalUnion.single(0.5, 2.0), 6)
+
+    def test_points(self):
+        domain = IntervalUnion.from_points([0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+        self.assert_matches_oracle(domain, 3)
+
+    def test_constraint_at_zero(self):
+        domain = IntervalUnion(((0.2, 0.5), (0.8, 1.0)))
+        self.assert_matches_oracle(domain, 4, constraint_at_zero=1.0)
+
+    def test_passes_few_rows(self, monkeypatch):
+        module = importlib.import_module("funmlab.minimax")
+        rows = []
+        solve = module.linprog
+
+        def counting(*args, **kwargs):
+            rows.append(kwargs["A_ub"].shape[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(module, "linprog", counting)
+        domain = hard_spectrum(256.0, 1e-4).intervals
+        minimax(INV, domain, 48)
+        # the full LP passes two rows per grid point to each of two solves
+        full_rows = 2 * 2 * domain.grid().size
+        assert sum(rows) < full_rows / 4, (sum(rows), full_rows)
+
+    def test_degree_80_on_kappa_256(self):
+        # the Chebyshev columns on this grid have condition ~1e12 here, and
+        # the dual simplex fails on the full-grid LP ("Status 0: Not Set")
+        domain = hard_spectrum(256.0, 1e-4).intervals
+        expansion, delta = minimax(INV, domain, 80)
+        _, delta_70 = minimax(INV, domain, 70)
+        assert 0.0 < delta < delta_70
+        nodes = np.cos(np.linspace(np.pi, 0.0, 4 * domain.grid_per_interval))
+        xs = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+                             for lo, hi in domain.intervals])
+        sampled = np.max(np.abs(expansion.evaluate(xs) - 1.0 / xs))
+        assert sampled <= 1.05 * delta

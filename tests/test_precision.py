@@ -4,9 +4,12 @@ Paige-inequality reports."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funmlab import (
     PrecisionConfig,
@@ -86,6 +89,22 @@ class TestRoundTo:
         array_out = round_to(x, cfg)
         scalar_out = np.array([round_to(float(v), cfg) for v in x])
         np.testing.assert_array_equal(array_out, scalar_out)
+
+    # magnitudes whose roundings stay normal and finite at every width
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        magnitude=st.floats(min_value=2.0**-1000, max_value=2.0**1000),
+        negative=st.booleans(),
+        bits=st.integers(min_value=4, max_value=52),
+    )
+    def test_matches_mpmath_at_bits_plus_one(self, magnitude, negative, bits):
+        # mpmath rounds to nearest, ties to even, at prec = bits + 1
+        x = -magnitude if negative else magnitude
+        with mpmath.workprec(bits + 1):
+            expected = float(mpmath.mpf(x))
+        cfg = PrecisionConfig(bits)
+        assert round_to(x, cfg) == expected
+        assert round_to(np.array([x]), cfg)[0] == expected
 
     def test_bits_range_validated(self):
         with pytest.raises(StructuralError):
