@@ -3,6 +3,15 @@
 Every operator exposes its action only through ``matvec``.  Dense and
 sparse products accumulate in ascending index order so results are
 bit-reproducible for a given build; no parallel reductions are used.
+
+A dense product is one numpy reduction over a C-contiguous array of
+terms whose row ``j`` holds the ``j``-th term of every output entry.
+numpy reduces a strided (non-contiguous) axis one row at a time, adding
+each row into the running sums, so every entry is summed in ascending
+``j``.  Reducing the contiguous axis instead would sum it pairwise, which
+is why the terms are always laid out in C order.  Dense matrices and Gram
+factors are stored C-contiguous so that building the terms reads them in
+order.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from .errors import (
     StructuralError,
     UnsupportedFormatError,
 )
+from .functions import evaluate_scalar
 
 ORACLE_CAP = 2000
 
@@ -36,18 +46,31 @@ def check_vector(v, n=None, name="vector"):
 
 
 def ascending_matvec(mat, v):
-    """Dense mat @ v with strictly ascending-index accumulation per row.
+    """Dense ``mat @ v`` with strictly ascending-index accumulation per row.
 
-    ``cumsum`` adds terms left to right, which pins the floating-point
-    summation order (unlike BLAS-backed ``@``).
+    Column ``j`` of ``mat`` times ``v[j]`` is row ``j`` of the terms, and
+    the rows are summed first to last (see :func:`_ascending_sum`), which
+    pins the floating-point summation order (unlike BLAS-backed ``@``).
     """
-    prod = mat * v
-    return np.cumsum(prod, axis=1)[:, -1]
+    return _ascending_sum(mat.T, v)
 
 
-def ascending_dot(u, v):
-    """Inner product accumulated in ascending index order."""
-    return float(np.cumsum(u * v)[-1])
+def _ascending_sum(cols, v):
+    """``sum_j cols[j] * v[j]`` with every entry summed in ascending ``j``.
+
+    The terms are built in C order whatever the layout of ``cols``, so the
+    reduction runs over the strided axis, one row at a time; a C-contiguous
+    ``cols`` is only faster to read.  A single output column would be
+    reduced as one contiguous vector, pairwise, so it is broadcast to two
+    identical columns to keep the reduction on the strided axis.  Starting
+    from ``-0.0``, which adds nothing to any float, keeps the first term's
+    sign of zero, as a left-to-right loop does.
+    """
+    terms = np.multiply(cols, v[:, None], order="C")
+    width = terms.shape[1]
+    if width == 1:
+        terms = np.broadcast_to(terms, (terms.shape[0], 2))
+    return np.add.reduce(terms, axis=0, initial=-0.0)[:width]
 
 
 class SymmetricOperator:
@@ -66,6 +89,12 @@ class SymmetricOperator:
         if norm_hint is not None and norm_hint < 0:
             raise StructuralError("norm_hint must be nonnegative")
         self.norm_hint = norm_hint
+        # a dense Gram factor's columns as C-contiguous rows, for ``B v``
+        self._factor_cols = (
+            np.ascontiguousarray(data.T)
+            if kind == self._GRAM and not sp.issparse(data)
+            else None
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -83,7 +112,7 @@ class SymmetricOperator:
                 )
             # (a+b)/2 == (b+a)/2 exactly, so the result is bitwise symmetric
             mat = 0.5 * (mat + mat.T)
-        return cls(cls._DENSE, mat, norm_hint)
+        return cls(cls._DENSE, np.ascontiguousarray(mat), norm_hint)
 
     @classmethod
     def from_sparse(cls, mat, norm_hint=None, symmetrize=False):
@@ -122,6 +151,7 @@ class SymmetricOperator:
                 raise StructuralError("gram factor must be two-dimensional")
             if not np.all(np.isfinite(b)):
                 raise DomainError("gram factor contains non-finite entries")
+            b = np.ascontiguousarray(b)
         return cls(cls._GRAM, b, norm_hint)
 
     # -- protocol ----------------------------------------------------------
@@ -150,7 +180,8 @@ class SymmetricOperator:
         """Apply the operator; accumulation order is ascending index."""
         v = check_vector(v, self.n)
         if self._kind == self._DENSE:
-            return ascending_matvec(self._data, v)
+            # exactly symmetric, so row j of the matrix is its column j
+            return _ascending_sum(self._data, v)
         if self._kind == self._SPARSE:
             # canonical CSR products run row by row in ascending column order
             return self._data @ v
@@ -159,7 +190,8 @@ class SymmetricOperator:
         b = self._data
         if sp.issparse(b):
             return b.T @ (b @ v)
-        return ascending_matvec(b.T, ascending_matvec(b, v))
+        # the rows of B are the columns of B^T
+        return _ascending_sum(b, _ascending_sum(self._factor_cols, v))
 
     def to_dense(self):
         """Materialize the operator as a dense symmetric array."""
@@ -188,6 +220,11 @@ class EigenDecomposition:
     def reconstruct(self):
         return (self.vectors * self.values) @ self.vectors.T
 
+    def apply(self, f, x):
+        """``f(A) x = V f(values) V^T x``."""
+        fvals = evaluate_scalar(f, self.values)
+        return self.vectors @ (fvals * (self.vectors.T @ x))
+
 
 def matvec(a: SymmetricOperator, v):
     """Module-level alias for :meth:`SymmetricOperator.matvec`."""
@@ -201,14 +238,10 @@ def exact_matrix_function(a: SymmetricOperator, f, x, cap=ORACLE_CAP):
     deliberately runs through LAPACK (``numpy.linalg.eigh``) rather than
     any code path shared with the iterative method.
     """
-    from .functions import evaluate_scalar
-
     if a.n > cap:
         raise CapacityError(f"oracle limited to n <= {cap}, got n = {a.n}")
     x = check_vector(x, a.n, name="x")
-    values, vectors = np.linalg.eigh(a.to_dense())
-    fvals = evaluate_scalar(f, values)
-    return vectors @ (fvals * (vectors.T @ x))
+    return EigenDecomposition(*np.linalg.eigh(a.to_dense())).apply(f, x)
 
 
 

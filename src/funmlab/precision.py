@@ -125,12 +125,15 @@ class EmulatedArithmetic:
         """fl(A v): rounded row products, then rounded ascending sums.
 
         All rows accumulate in lockstep, so the scalar sequence per row
-        matches a left-to-right loop while staying vectorized.
+        matches a left-to-right loop while staying vectorized.  Row ``j``
+        of the products holds column ``j`` of ``A`` times ``v[j]``, so each
+        step adds one contiguous row; the products are laid out that way
+        for any layout of ``mat``, fastest when ``mat`` is Fortran-ordered.
         """
-        products = self._rnd(mat * v)
-        acc = products[:, 0]
-        for j in range(1, mat.shape[1]):
-            acc = self._rnd(acc + products[:, j])
+        products = self._rnd(np.multiply(mat.T, v[:, None], order="C"))
+        acc = products[0]
+        for row in products[1:]:
+            acc = self._rnd(acc + row)
         return acc
 
     def make_matvec(self, a: SymmetricOperator):
@@ -149,7 +152,8 @@ class EmulatedArithmetic:
             return lambda v: self._rnd(diag * v)
         if a.kind == "sparse":
             return self._csr_matvec(a.data)
-        dense = self._rnd(a.to_dense())
+        # Fortran order: the columns matvec_dense reads are contiguous
+        dense = np.asfortranarray(self._rnd(a.to_dense()))
         return lambda v: self.matvec_dense(dense, v)
 
     def _csr_matvec(self, csr):

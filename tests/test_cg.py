@@ -15,7 +15,9 @@ from funmlab import (
     lanczos_cg_equivalence,
     minimax,
 )
+from funmlab.chebyshev import ChebyshevExpansion
 from funmlab.functions import inverse_function
+from funmlab.operators import EigenDecomposition, exact_matrix_function
 
 INV = inverse_function()
 
@@ -129,6 +131,29 @@ class TestOptimality:
         a = diag_operator([1.0, 10.0, 100.0])
         assert anorm_optimality_check(a, np.array([1.0, 1.0, 1.0]), 2,
                                       trial_polys=500, seed=2)
+
+
+    def test_one_eigendecomposition_for_all_candidates(self, monkeypatch):
+        a, rng = random_spd(5, 30, 50.0)
+        b = rng.standard_normal(30)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(mat, *args, **kwargs):
+            calls.append(mat.shape)
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert anorm_optimality_check(a, b, 4, trial_polys=60, seed=3)
+        assert calls == [(30, 30)]
+
+    def test_candidates_equal_oracle_bit_for_bit(self):
+        a, rng = random_spd(6, 25, 20.0)
+        x = rng.standard_normal(25)
+        eig = EigenDecomposition(*np.linalg.eigh(a.to_dense()))
+        poly = ChebyshevExpansion((0.05, 1.0), rng.uniform(-1.0, 1.0, size=5))
+        expected = exact_matrix_function(a, poly.evaluate, x)
+        assert eig.apply(poly.evaluate, x).tobytes() == expected.tobytes()
 
 
 class TestSqrtKappaBound:

@@ -17,6 +17,7 @@ from funmlab import (
     matvec,
     spectral_range,
 )
+from funmlab.operators import ascending_matvec
 
 
 def random_symmetric(rng, n, norm=1.0):
@@ -89,6 +90,97 @@ class TestMatvec:
         v = rng.standard_normal(7)
         np.testing.assert_allclose(g.matvec(v), b.T @ (b @ v), rtol=1e-12)
         assert v @ g.matvec(v) >= 0
+
+
+def left_to_right(mat, v):
+    """Pure-Python ``mat @ v``: each row summed term by term from the left."""
+    v = v.tolist()
+    out = []
+    for row in mat.tolist():
+        acc = row[0] * v[0]
+        for a, b in zip(row[1:], v[1:]):
+            acc += a * b
+        out.append(acc)
+    return np.array(out)
+
+
+def spread(rng, shape):
+    """Entries spanning 1e-20 .. 1e20, so that any reordering shows."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape)
+
+
+def spread_symmetric(rng, n):
+    """Symmetric, with row 0 all zeros and row 1 an exact cancellation.
+
+    Against a negative vector, row 0 sums only ``-0.0`` terms and must give
+    ``-0.0``; row 1 adds ``v[2]`` and ``-v[3]`` with ``v[2] == v[3]`` among
+    signed zeros and must give ``+0.0``.
+    """
+    m = spread(rng, (n, n))
+    m = m + m.T
+    m[0, :] = m[:, 0] = 0.0
+    if n >= 4:
+        m[1, :] = m[:, 1] = 0.0
+        m[1, 2] = m[2, 1] = 1.0
+        m[1, 3] = m[3, 1] = -1.0
+    return m
+
+
+def negative_spread(rng, n):
+    v = -np.abs(spread(rng, n))
+    if n >= 4:
+        v[3] = v[2]
+    return v
+
+
+class TestAscendingOrder:
+    """Dense products are bit-identical to a left-to-right loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 300, 1500])
+    def test_dense(self, n):
+        rng = np.random.default_rng(n)
+        m = spread_symmetric(rng, n)
+        a = SymmetricOperator.from_dense(m)
+        v = spread(rng, n)
+        assert a.matvec(v).tobytes() == left_to_right(m, v).tobytes()
+        v = negative_spread(rng, n)
+        out = a.matvec(v)
+        assert out.tobytes() == left_to_right(m, v).tobytes()
+        assert np.signbit(out[0])
+        if n >= 4:
+            assert out[1] == 0.0 and not np.signbit(out[1])
+
+    @pytest.mark.parametrize(
+        "shape", [(500, 250), (30, 45), (200, 1), (1, 200), (7, 7)]
+    )
+    def test_dense_factor_gram(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        b = spread(rng, shape)
+        v = spread(rng, shape[1])
+        expected = left_to_right(b.T, left_to_right(b, v))
+        assert SymmetricOperator.gram(b).matvec(v).tobytes() == expected.tobytes()
+
+    def test_layouts_and_views(self):
+        rng = np.random.default_rng(11)
+        big = spread_symmetric(rng, 120)
+        v = spread(rng, 60)
+        for m in (np.asfortranarray(big[:60, :60]), big[::2, ::2], big[1::2, 1::2]):
+            a = SymmetricOperator.from_dense(m)
+            assert a.matvec(v).tobytes() == left_to_right(m, v).tobytes()
+        wide = spread(rng, (90, 150))
+        w = spread(rng, 50)
+        for b in (np.asfortranarray(wide[:, :50]), wide[::3, ::3], wide[:40, 100:]):
+            expected = left_to_right(b.T, left_to_right(b, w))
+            assert SymmetricOperator.gram(b).matvec(w).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 300), (300, 1), (40, 300), (300, 40)])
+    def test_ascending_matvec_any_shape_and_layout(self, shape):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        mat = spread(rng, shape)
+        v = spread(rng, shape[1])
+        expected = left_to_right(mat, v).tobytes()
+        for m in (mat, np.asfortranarray(mat)):
+            assert ascending_matvec(m, v).tobytes() == expected
 
 
 class TestConstruction:

@@ -22,7 +22,7 @@ from funmlab import (
     round_to,
 )
 from funmlab.lanczos import LanczosDecomposition
-from funmlab.precision import EmulatedArithmetic, diagnose
+from funmlab.precision import EmulatedArithmetic, _round_scalar, diagnose
 
 BITS = (8, 16, 24, 52)
 
@@ -209,6 +209,34 @@ class TestStorageKernels:
                 v = rng.standard_normal(a.n) * 10.0 ** rng.integers(-3, 4)
                 # array_equal compares values, so a zero's sign is free
                 assert np.array_equal(matvec(v), ar.matvec_dense(dense, v))
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_dense_kernel_matches_rounded_loop_in_any_layout(self, bits):
+        rng = np.random.default_rng(bits)
+        big = rng.standard_normal((40, 40)) * 10.0 ** rng.integers(-8, 9, (40, 40))
+        v = rng.standard_normal(20)
+        ar = EmulatedArithmetic(PrecisionConfig(bits))
+        for m in (big[:20, :20], np.asfortranarray(big[:20, :20]), big[::2, 1::2]):
+            expected = []
+            for row in m.tolist():
+                products = [_round_scalar(x * y, bits) for x, y in zip(row, v.tolist())]
+                acc = products[0]
+                for p in products[1:]:
+                    acc = _round_scalar(acc + p, bits)
+                expected.append(acc)
+            assert ar.matvec_dense(m, v).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_dense_and_gram_kernels_equal_rounded_dense_kernel(self, bits):
+        ar = EmulatedArithmetic(PrecisionConfig(bits))
+        rng = np.random.default_rng(bits)
+        m = rng.standard_normal((30, 30))
+        dense = SymmetricOperator.from_dense(m + m.T)
+        gram = SymmetricOperator.gram(rng.standard_normal((45, 30)))
+        for a in (dense, gram):
+            rounded = ar.round(a.to_dense())
+            v = rng.standard_normal(a.n)
+            assert ar.make_matvec(a)(v).tobytes() == ar.matvec_dense(rounded, v).tobytes()
 
     def test_full_width_kernels_equal_exact_matvec(self):
         ar = EmulatedArithmetic(PrecisionConfig(52))
