@@ -1,12 +1,11 @@
 """Conjugate gradient for positive definite systems, with Lanczos cross-checks.
 
-Two recurrences are available.  The default is the textbook one
-(``alpha = <r,r>/<p,Ap>``, ``beta = <r',r'>/<r,r>``, ``p = r' + beta p``).
-``paper_literal=True`` selects the square-free variant
-(``alpha = ||r||/<r,Ap>``, ``beta = -||r'||/||r||``, ``p = r' - beta p``),
-which does not reproduce ``A^{-1} b`` on hand examples and exists only so
-the difference can be demonstrated; every bound check in this package
-uses the textbook recurrence.
+The recurrence is the textbook one (``alpha = <r,r>/<p,Ap>``,
+``beta = <r',r'>/<r,r>``, ``p = r' + beta p``).  Erratum: the paper's
+listing is square-free (``alpha = ||r||/<r,Ap>``, ``beta = -||r'||/||r||``,
+``p = r' - beta p``) and does not reproduce ``A^{-1} b``: on
+``diag(1, 2)`` with ``b = (1, 1)`` its 2-step iterate is off by more
+than 1e-3, where the textbook recurrence reaches ``(1, 0.5)`` to rounding.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ class CgTrace:
         return len(self.alphas)
 
 
-def cg_solve(a: SymmetricOperator, b, k, stop_tol=0.0, paper_literal=False) -> CgTrace:
+def cg_solve(a: SymmetricOperator, b, k, stop_tol=0.0) -> CgTrace:
     """Run conjugate gradient on ``A y = b`` for at most ``k`` iterations.
 
     Stops early when the residual drops below ``stop_tol * ||b||`` or the
@@ -68,32 +67,23 @@ def cg_solve(a: SymmetricOperator, b, k, stop_tol=0.0, paper_literal=False) -> C
     r = b.copy()
     p = b.copy()
     b_norm = float(np.linalg.norm(b))
+    r_norm = b_norm
     iterates = [y.copy()]
     residual_norms = [b_norm]
     alphas, betas = [], []
 
     for _ in range(k):
         ap = a.matvec(p)
-        if paper_literal:
-            denom = float(r @ ap)
-        else:
-            denom = float(p @ ap)
+        denom = float(p @ ap)
         if denom <= 0.0:
             raise NonpositiveCurvatureError(
                 f"direction curvature {denom} is not positive"
             )
-        r_norm = float(np.linalg.norm(r))
-        if paper_literal:
-            alpha = r_norm / denom
-        else:
-            alpha = r_norm**2 / denom
+        alpha = r_norm**2 / denom
         y = y + alpha * p
         r_new = r - alpha * ap
         r_new_norm = float(np.linalg.norm(r_new))
-        if paper_literal:
-            beta = -r_new_norm / r_norm if r_norm > 0 else 0.0
-        else:
-            beta = (r_new_norm / r_norm) ** 2 if r_norm > 0 else 0.0
+        beta = (r_new_norm / r_norm) ** 2 if r_norm > 0 else 0.0
 
         alphas.append(alpha)
         iterates.append(y.copy())
@@ -101,11 +91,8 @@ def cg_solve(a: SymmetricOperator, b, k, stop_tol=0.0, paper_literal=False) -> C
         if r_new_norm <= stop_tol * b_norm or abs(beta) <= _EPS:
             break
         betas.append(beta)
-        if paper_literal:
-            p = r_new - beta * p
-        else:
-            p = r_new + beta * p
-        r = r_new
+        p = r_new + beta * p
+        r, r_norm = r_new, r_new_norm
 
     return CgTrace(
         iterates=np.asarray(iterates),

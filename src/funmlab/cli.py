@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -33,12 +34,12 @@ from .applications import (
     soft_step_apply,
     top_singular_value,
 )
-from .cg import cg_solve, lanczos_cg_equivalence
+from .cg import cg_solve
 from .errors import FunmlabError, StructuralError
 from .functions import inverse_function, scalar_function_by_name
 from .hardspectrum import hard_spectrum
-from .lanczos import lanczos_apply
-from .minimax import IntervalUnion, minimax
+from .lanczos import apply_function, lanczos_apply, lanczos_decompose
+from .minimax import IntervalUnion, error_curve, minimax
 from .operators import SymmetricOperator, exact_matrix_function, load_matrix_market
 from .precision import PrecisionConfig, lanczos_emulated, paige_report
 
@@ -86,9 +87,19 @@ class ExperimentConfig:
             raise StructuralError(f"bad bits list {self.bits!r}: {exc}") from None
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_INT_KEYS = {"k", "seed", "trials", "kmax", "zcap"}
-_FLOAT_KEYS = {"eps", "eta", "kappa", "gamma", "delta", "target", "stop_tol"}
+# the type of every key; flags and config files both convert with it
+_KEY_TYPES = {
+    "matrix": str, "function": str, "k": int, "eps": float, "eta": float,
+    "kappa": float, "gamma": float, "delta": float, "bits": str, "seed": int,
+    "trials": int, "target": float, "kmax": int, "zcap": int,
+    "stop_tol": float, "variant": str, "output_dir": str,
+}
+_FLAG_OPTIONS = {
+    "matrix": dict(help="diag:..., random-spd:n[,kappa], random-sym:n, "
+                   "random-rect:m,n, hard-spectrum, mtx:PATH"),
+    "bits": dict(help="comma-separated mantissa widths"),
+    "variant": dict(choices=("general", "psd")),
+}
 
 
 def parse_config_file(path):
@@ -104,20 +115,13 @@ def parse_config_file(path):
             raise StructuralError(f"{path}:{line_no}: expected key=value")
         key, value = (part.strip() for part in text.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _FIELD_TYPES:
+        if key not in _KEY_TYPES:
             raise StructuralError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = value
+        try:
+            values[key] = _KEY_TYPES[key](value)
+        except ValueError:
+            raise StructuralError(f"{path}:{line_no}: bad {key} {value!r}") from None
     return values
-
-
-def _coerce(key, value):
-    if value is None or not isinstance(value, str):
-        return value
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
 
 
 _REQUIRED = {
@@ -137,13 +141,8 @@ def build_config(args) -> ExperimentConfig:
     merged = {}
     if args.config:
         merged.update(parse_config_file(args.config))
-    for key in _FIELD_TYPES:
-        if key == "command":
-            continue
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    merged = {key: _coerce(key, value) for key, value in merged.items()}
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key in _KEY_TYPES and value is not None)
     cfg = ExperimentConfig(command=args.command, **merged)
     if cfg.command not in _COMMANDS:
         raise StructuralError(f"unknown command {cfg.command!r}")
@@ -159,26 +158,38 @@ def build_config(args) -> ExperimentConfig:
 
 # -- matrix generators --------------------------------------------------------
 
+@contextmanager
+def _source_syntax(source):
+    """Report a malformed number in a matrix source as a structural error."""
+    try:
+        yield
+    except ValueError:
+        raise StructuralError(f"malformed matrix source {source!r}") from None
+
+
 def build_operator(cfg: ExperimentConfig) -> SymmetricOperator:
     source = cfg.matrix
     if not source:
         raise StructuralError("this command requires --matrix")
     rng = np.random.default_rng((cfg.seed, 0))
     if source.startswith("diag:"):
-        values = [float(v) for v in source[5:].split(",") if v.strip()]
+        with _source_syntax(source):
+            values = [float(v) for v in source[5:].split(",") if v.strip()]
         if not values:
             raise StructuralError(f"empty diagonal in {source!r}")
         return SymmetricOperator.from_diagonal(np.asarray(values))
     if source.startswith("random-spd:"):
         parts = source[len("random-spd:"):].split(",")
-        n = int(parts[0])
-        kappa = float(parts[1]) if len(parts) > 1 else 10.0
+        with _source_syntax(source):
+            n = int(parts[0])
+            kappa = float(parts[1]) if len(parts) > 1 else 10.0
         basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
         values = np.geomspace(1.0 / kappa, 1.0, n)
         mat = (basis * values) @ basis.T
         return SymmetricOperator.from_dense(mat, symmetrize=True, norm_hint=1.0)
     if source.startswith("random-sym:"):
-        n = int(source[len("random-sym:"):])
+        with _source_syntax(source):
+            n = int(source[len("random-sym:"):])
         mat = rng.standard_normal((n, n))
         mat = mat + mat.T
         mat /= np.linalg.norm(mat, 2)
@@ -198,7 +209,8 @@ def _rect_factor(cfg: ExperimentConfig):
     source = cfg.matrix or ""
     if not source.startswith("random-rect:"):
         raise StructuralError("topsv needs --matrix random-rect:m,n")
-    rows, cols = (int(v) for v in source[len("random-rect:"):].split(","))
+    with _source_syntax(source):
+        rows, cols = (int(v) for v in source[len("random-rect:"):].split(","))
     rng = np.random.default_rng((cfg.seed, 0))
     return rng.standard_normal((rows, cols))
 
@@ -254,16 +266,24 @@ def run_solve(cfg: ExperimentConfig):
     b_norm = float(np.linalg.norm(b))
     inv = inverse_function()
 
+    # row k reads step k of one run; the equivalence column wants CG
+    # without the early stop, which is the same run when stop_tol is 0
+    trace = cg_solve(a, b, cfg.k, stop_tol=cfg.stop_tol)
+    plain = trace if cfg.stop_tol == 0 else cg_solve(a, b, cfg.k)
+    dec = lanczos_decompose(a, b, cfg.k)
+
     rows = []
     for k in range(1, cfg.k + 1):
-        trace = cg_solve(a, b, k, stop_tol=cfg.stop_tol)
-        error = float(np.linalg.norm(reference - trace.solution))
+        step = min(k, trace.iterations)
+        error = float(np.linalg.norm(reference - trace.iterates[step]))
         _, dbar = minimax(inv, points, k - 1)
         bound = math.sqrt(kappa) * dbar * b_norm
-        equivalence = lanczos_cg_equivalence(a, b, k)
+        y_lanczos = apply_function(dec.prefix(k), inv)
+        gap = plain.iterates[min(k, plain.iterations)] - y_lanczos
+        equivalence = float(np.linalg.norm(gap) / np.linalg.norm(reference))
         rows.append({
             "k": k,
-            "residual_norm": float(trace.residual_norms[-1]),
+            "residual_norm": float(trace.residual_norms[step]),
             "error": error,
             "delta_bar": dbar,
             "sqrt_kappa_bound": bound,
@@ -389,24 +409,13 @@ def run_lowerbound(cfg: ExperimentConfig):
     target = cfg.target if cfg.target is not None else 1.0 / 6.0
     kmax = cfg.kmax or 80
     spec = hard_spectrum(cfg.kappa, cfg.eta, z_cap=cfg.zcap)
-    inv = inverse_function()
-    rows = []
-    min_degree = None
-    previous = math.inf
-    for degree in range(0, kmax + 1):
-        _, delta = minimax(inv, spec.intervals, degree)
-        monotone = delta <= previous * (1.0 + 1e-9) + 1e-12
-        rows.append({
-            "degree": degree,
-            "delta_bar": delta,
-            "target": target,
-            "passed": monotone,
-        })
-        previous = delta
-        if delta <= target:
-            min_degree = degree
-            break
-    passed = all(r["passed"] for r in rows)
+    # a curve that increases raises, so every row it returns is monotone
+    curve = error_curve(inverse_function(), spec.intervals, target, kmax)
+    rows = [
+        {"degree": degree, "delta_bar": delta, "target": target, "passed": True}
+        for degree, delta in enumerate(curve)
+    ]
+    min_degree = len(curve) - 1 if curve and curve[-1] <= target else None
     report = {
         "kappa": cfg.kappa,
         "eta": cfg.eta,
@@ -414,10 +423,10 @@ def run_lowerbound(cfg: ExperimentConfig):
         "z_capped": spec.z_was_capped,
         "num_eigenvalues": int(spec.eigenvalues.size),
         "min_degree": min_degree,
-        "delta_curve": [r["delta_bar"] for r in rows],
-        "passed": passed,
+        "delta_curve": curve,
+        "passed": True,
     }
-    return rows, report, passed
+    return rows, report, True
 
 
 def run_precision_sweep(cfg: ExperimentConfig):
@@ -582,25 +591,12 @@ def make_parser():
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="key=value config file")
-        cmd.add_argument("--matrix", "--generator", dest="matrix",
-                         help="diag:..., random-spd:n[,kappa], random-sym:n, "
-                         "random-rect:m,n, hard-spectrum, mtx:PATH")
-        cmd.add_argument("--function")
-        cmd.add_argument("--k", type=int)
-        cmd.add_argument("--eps", type=float)
-        cmd.add_argument("--eta", type=float)
-        cmd.add_argument("--kappa", type=float)
-        cmd.add_argument("--gamma", type=float)
-        cmd.add_argument("--delta", type=float)
-        cmd.add_argument("--bits", help="comma-separated mantissa widths")
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--trials", type=int)
-        cmd.add_argument("--target", type=float)
-        cmd.add_argument("--kmax", type=int)
-        cmd.add_argument("--zcap", type=int)
-        cmd.add_argument("--stop-tol", dest="stop_tol", type=float)
-        cmd.add_argument("--variant", choices=("general", "psd"))
-        cmd.add_argument("--output-dir", dest="output_dir")
+        for key, kind in _KEY_TYPES.items():
+            flags = ["--" + key.replace("_", "-")]
+            if key == "matrix":
+                flags.append("--generator")
+            cmd.add_argument(*flags, dest=key, type=kind,
+                             **_FLAG_OPTIONS.get(key, {}))
     return parser
 
 

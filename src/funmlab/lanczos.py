@@ -9,7 +9,7 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,19 @@ class LanczosDecomposition:
 
     def tridiagonal(self) -> TridiagonalMatrix:
         return TridiagonalMatrix(self.alphas, self.betas)
+
+    def prefix(self, j) -> "LanczosDecomposition":
+        """The ``j``-step run from the same start, bit for bit: no step reads ``k``."""
+        if not 1 <= j <= self.requested_k:
+            raise StructuralError(f"prefix length must be in 1..{self.requested_k}")
+        if j >= self.steps_taken:
+            return replace(self, requested_k=j, breakdown=self.steps_taken < j)
+        return replace(
+            self, q_basis=self.q_basis[:, :j].copy(), alphas=self.alphas[:j],
+            betas=self.betas[:j - 1], beta_next=float(self.betas[j - 1]),
+            q_next=self.q_basis[:, j].copy(), steps_taken=j, requested_k=j,
+            breakdown=False,
+        )
 
 
 class ExactArithmetic:

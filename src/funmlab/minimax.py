@@ -242,27 +242,35 @@ def minimax(f, domain: IntervalUnion, degree, constraint_at_zero=None):
     return expansion, delta
 
 
+def error_curve(f, domain: IntervalUnion, target, k_max, constraint_at_zero=None):
+    """Minimax errors at degrees 0, 1, ... up to the first meeting ``target``.
+
+    Ends at ``k_max`` if none does; raises where the curve increases, which
+    the exchange-refined deltas never do.
+    """
+    curve = []
+    for degree in range(0, k_max + 1):
+        _, delta = minimax(f, domain, degree, constraint_at_zero)
+        if curve and not delta <= curve[-1] * (1.0 + 1e-9) + 1e-12:
+            raise SolverFailureError(
+                f"minimax error increased from {curve[-1]} to {delta} "
+                f"at degree {degree}"
+            )
+        curve.append(delta)
+        if delta <= target:
+            break
+    return curve
+
+
 def min_degree_for(f, domain: IntervalUnion, target, k_max,
                    constraint_at_zero=None):
     """Smallest degree (at most ``k_max``) whose minimax error meets ``target``.
 
-    Linear scan with early exit; returns ``None`` when no degree up to
-    ``k_max`` suffices.  The scan asserts that the error curve is
-    nonincreasing, which the exchange-refined deltas satisfy.
+    The end of :func:`error_curve`'s scan, or ``None`` if it never meets it.
     """
     if target <= 0:
         raise DomainError("target error must be positive")
     if k_max < 1:
         raise StructuralError("k_max must be at least 1")
-    previous = np.inf
-    for degree in range(0, k_max + 1):
-        _, delta = minimax(f, domain, degree, constraint_at_zero)
-        if delta > previous * (1.0 + 1e-9) + 1e-12:
-            raise SolverFailureError(
-                f"minimax error increased from {previous} to {delta} "
-                f"at degree {degree}"
-            )
-        if delta <= target:
-            return degree
-        previous = delta
-    return None
+    curve = error_curve(f, domain, target, k_max, constraint_at_zero)
+    return len(curve) - 1 if curve[-1] <= target else None

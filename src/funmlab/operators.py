@@ -158,13 +158,8 @@ class SymmetricOperator:
 
     @property
     def n(self):
-        if self._kind == self._DENSE:
-            return self._data.shape[0]
-        if self._kind == self._SPARSE:
-            return self._data.shape[0]
-        if self._kind == self._DIAGONAL:
-            return self._data.shape[0]
-        return self._data.shape[1]
+        # square storage, a diagonal vector or a Gram factor B with n columns
+        return self._data.shape[-1]
 
     @property
     def kind(self):

@@ -66,13 +66,6 @@ class TestSolve:
         assert len(trace.iterates) == len(trace.residual_norms)
         assert len(trace.alphas) == trace.iterations
 
-    def test_paper_literal_recurrence_differs(self):
-        # the square-free listing does not reproduce A^{-1} b
-        a = diag_operator([1.0, 2.0])
-        b = np.array([1.0, 1.0])
-        literal = cg_solve(a, b, 2, paper_literal=True)
-        assert np.linalg.norm(literal.solution - [1.0, 0.5]) > 1e-3
-
     def test_exact_termination_on_distinct_eigenvalues(self):
         values = np.array([0.5, 1.0, 2.0, 3.0, 7.0])
         a = diag_operator(values)

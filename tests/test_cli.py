@@ -1,9 +1,19 @@
 """CLI harness: config precedence, determinism, exit codes, file contracts."""
 
+import csv
+import importlib
 import json
 
+import numpy as np
+import pytest
 
-from funmlab.cli import main
+from funmlab import cli
+from funmlab.cg import cg_solve, lanczos_cg_equivalence
+from funmlab.cli import ExperimentConfig, main
+from funmlab.functions import inverse_function
+from funmlab.hardspectrum import hard_spectrum
+from funmlab.minimax import min_degree_for, minimax
+from funmlab.operators import SymmetricOperator
 
 
 def run_cli(args):
@@ -53,6 +63,42 @@ class TestConfigParsing:
     def test_missing_required_field(self, tmp_path):
         # apply without k is a config error
         assert run_cli(["apply", "--matrix", "diag:1"]) == 2
+
+    def test_bad_file_value_reports_location(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("matrix = diag:1,2\nk = abc\n")
+        assert run_cli(["apply", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "run.cfg:2" in err and "Traceback" not in err
+
+    def test_file_values_take_the_flag_types(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("matrix = diag:1,2\nk = 2\neps = 1e-3\nstop-tol = 0\n")
+        out = tmp_path / "out"
+        assert run_cli(["apply", "--config", str(cfg), "--output-dir", str(out)]) == 0
+        config = json.loads((out / "meta.json").read_text())["config"]
+        assert (config["k"], config["eps"], config["stop_tol"]) == (2, 1e-3, 0.0)
+
+    def test_bad_flag_value_rejected(self):
+        assert run_cli(["apply", "--matrix", "diag:1", "--k", "abc"]) == 2
+
+    def test_command_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = solve\n")
+        assert run_cli(["apply", "--config", str(cfg), "--k", "1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["apply", "--matrix", "random-spd:abc", "--k", "2"],
+        ["apply", "--matrix", "diag:1,x", "--k", "2"],
+        ["apply", "--matrix", "random-sym:4.5", "--k", "2"],
+        ["topsv", "--matrix", "random-rect:5", "--delta", "0.2"],
+    ])
+    def test_malformed_matrix_source_is_structural(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--output-dir", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["type"] == "StructuralError"
+        assert "malformed matrix source" in report["error"]["message"]
 
 
 class TestSpecInvocations:
@@ -277,3 +323,78 @@ class TestCommands:
         assert "wall_time_seconds" in meta and "timestamp" in meta
         body = (out / "results.csv").read_text()
         assert meta["timestamp"] not in body
+
+
+def read_rows(out):
+    lines = (out / "results.csv").read_text().splitlines()
+    return list(csv.DictReader(lines[1:]))
+
+
+class TestStudiesReuseOneRun:
+    """Each study runs each algorithm once and reads every row off that run."""
+
+    @pytest.mark.parametrize("matrix,k,stop_tol", [
+        ("random-spd:40,50", 15, 0.0),
+        ("random-spd:40,50", 40, 1e-6),  # stops after 35 steps
+        ("diag:1,2,3,4", 7, 0.0),
+        ("diag:1,2,3,4", 7, 1e-6),
+    ])
+    def test_solve_rows_equal_per_k_runs(self, tmp_path, matrix, k, stop_tol):
+        out = tmp_path / "out"
+        code = run_cli(["solve", "--matrix", matrix, "--k", str(k), "--stop-tol",
+                        str(stop_tol), "--seed", "4", "--output-dir", str(out)])
+        assert code == 0
+        cfg = ExperimentConfig("solve", matrix=matrix, k=k, seed=4, stop_tol=stop_tol)
+        a = cli.build_operator(cfg)
+        b = cli._start_vector(cfg, a.n)
+        reference = np.linalg.solve(a.to_dense(), b)
+        rows = read_rows(out)
+        assert len(rows) == k
+        for j, row in enumerate(rows, start=1):
+            trace = cg_solve(a, b, j, stop_tol=stop_tol)
+            assert row["residual_norm"] == repr(float(trace.residual_norms[-1]))
+            assert row["error"] == repr(float(np.linalg.norm(reference - trace.solution)))
+            assert row["lanczos_equivalence"] == repr(lanczos_cg_equivalence(a, b, j))
+
+    @pytest.mark.parametrize("stop_tol", ["0", "1e-6"])
+    def test_solve_matvecs_linear_in_k(self, tmp_path, monkeypatch, stop_tol):
+        calls = []
+        original = SymmetricOperator.matvec
+
+        def counting(self, v):
+            calls.append(1)
+            return original(self, v)
+
+        monkeypatch.setattr(SymmetricOperator, "matvec", counting)
+        k = 20
+        code = run_cli(["solve", "--matrix", "random-spd:60,20", "--k", str(k),
+                        "--stop-tol", stop_tol, "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert 0 < len(calls) <= 3 * k
+
+    def test_lowerbound_curve_equals_per_degree_minimax(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli(["lowerbound", "--kappa", "8", "--eta", "1e-4", "--kmax", "40",
+                        "--output-dir", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())["report"]
+        spec = hard_spectrum(8.0, 1e-4)
+        curve = [minimax(inverse_function(), spec.intervals, d)[1]
+                 for d in range(len(report["delta_curve"]))]
+        assert report["delta_curve"] == curve
+        assert report["min_degree"] == min_degree_for(
+            inverse_function(), spec.intervals, 1.0 / 6.0, 40
+        ) == len(curve) - 1
+        assert [float(r["delta_bar"]) for r in read_rows(out)] == curve
+
+    def test_lowerbound_increasing_curve_is_a_solver_failure(self, tmp_path, monkeypatch):
+        deltas = iter([0.5, 0.4, 0.45])
+        # the package exports the function under the module's name
+        monkeypatch.setattr(importlib.import_module("funmlab.minimax"), "minimax",
+                            lambda f, domain, degree, c=None: (None, next(deltas)))
+        out = tmp_path / "out"
+        code = run_cli(["lowerbound", "--kappa", "8", "--eta", "1e-4", "--kmax", "10",
+                        "--output-dir", str(out)])
+        assert code == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["type"] == "SolverFailureError"

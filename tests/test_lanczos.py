@@ -1,13 +1,17 @@
 """Lanczos recurrence: worked examples, Paige-style diagnostics, and the
 exactness/containment/scaling properties."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from funmlab import (
     ChebyshevExpansion,
     DomainError,
     IntervalUnion,
+    PrecisionConfig,
     ScalarFunction,
     StructuralError,
     SymmetricOperator,
@@ -15,6 +19,7 @@ from funmlab import (
     eig_tridiagonal,
     exact_matrix_function,
     lanczos_decompose,
+    lanczos_emulated,
     minimax,
     orthogonality_defect,
     three_term_residual,
@@ -200,3 +205,60 @@ class TestProperties:
         assert dec.breakdown and dec.steps_taken == 2
         y = apply_function(dec, lambda t: t)
         np.testing.assert_allclose(y, [1.0, 1.0, 2.0], atol=1e-12)
+
+
+def assert_same_decomposition(got, want):
+    for field in fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, np.ndarray):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), field.name
+            assert g.flags.c_contiguous == w.flags.c_contiguous, field.name
+        else:
+            assert type(g) is type(w) and g == w, field.name
+
+
+def _prefix_operators():
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((30, 30))
+    yield "dense", SymmetricOperator.from_dense(m + m.T), 12
+    s = sp.random(40, 40, density=0.1, random_state=3)
+    yield "csr", SymmetricOperator.from_sparse(s + s.T), 12
+    yield "diagonal", SymmetricOperator.from_diagonal(rng.uniform(-1, 1, 25)), 12
+    yield "gram", SymmetricOperator.gram(rng.standard_normal((20, 15))), 12
+    # breaks down after four steps, so prefixes past it repeat the short run
+    yield "breakdown", SymmetricOperator.from_diagonal([1.0, 2.0, 3.0, 4.0]), 7
+
+
+class TestPrefix:
+    """A prefix of a long run is the short run, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "a,k", [(a, k) for _, a, k in _prefix_operators()],
+        ids=[name for name, _, _ in _prefix_operators()],
+    )
+    def test_prefix_equals_short_run(self, a, k):
+        x = np.random.default_rng(5).standard_normal(a.n)
+        full = lanczos_decompose(a, x, k)
+        for j in range(1, k + 1):
+            assert_same_decomposition(full.prefix(j), lanczos_decompose(a, x, j))
+
+    def test_breakdown_case_breaks_down(self):
+        a = SymmetricOperator.from_diagonal([1.0, 2.0, 3.0, 4.0])
+        dec = lanczos_decompose(a, np.ones(4), 7)
+        assert dec.breakdown and dec.steps_taken == 4
+        assert not dec.prefix(4).breakdown and dec.prefix(5).breakdown
+
+    def test_emulated_prefix_equals_short_run(self):
+        a, rng = random_unit_symmetric(9, 30)
+        x = rng.standard_normal(30)
+        cfg = PrecisionConfig(16)
+        full, _ = lanczos_emulated(a, x, 15, cfg)
+        for j in range(1, 16):
+            assert_same_decomposition(full.prefix(j), lanczos_emulated(a, x, j, cfg)[0])
+
+    def test_bad_length_rejected(self):
+        a = SymmetricOperator.from_diagonal([1.0, 2.0])
+        dec = lanczos_decompose(a, np.ones(2), 2)
+        for j in (0, 3):
+            with pytest.raises(StructuralError):
+                dec.prefix(j)
