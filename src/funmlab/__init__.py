@@ -48,7 +48,6 @@ from .operators import (
     SymmetricOperator,
     exact_matrix_function,
     load_matrix_market,
-    matvec,
     spectral_range,
 )
 from .precision import (

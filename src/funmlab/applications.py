@@ -1,9 +1,10 @@
 """Composed applications: soft step, matrix exponentials, top singular value,
 and generic polynomial acceleration.
 
-Each routine is a thin composition over the Lanczos core with explicit
-iteration-count constants (the asymptotic prescriptions made concrete);
-the defaults were fixed by a calibration sweep and are deterministic.
+Each routine is a thin composition over the Lanczos core.  Its iteration
+count is the asymptotic prescription with fixed constants, written as
+literals in the one formula that uses them and named in its docstring;
+they were fixed by a calibration sweep, so every count is deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .cg import cg_solve
 from .errors import DomainError, SolverFailureError, StructuralError
 from .functions import ScalarFunction, exp_function
 from .lanczos import apply_function, lanczos_decompose
-from .operators import SymmetricOperator, check_vector
+from .operators import SymmetricOperator, check_vector, spectral_range
 from .tridiag import eig_tridiagonal
 
 _STEP_VERIFY_GRID = 4001
@@ -50,7 +51,7 @@ def soft_sign_poly(x, q):
 class StepParams:
     """Transition width ``gamma`` and tolerance ``eps`` for the soft step.
 
-    ``q = ceil(sharpness_coeff * gamma^-2 * ln(1/eps))`` terms of the ramp
+    ``q = ceil(4 gamma^-2 ln(1/eps))`` terms of the ramp
     polynomial give a step that is within ``eps`` of {0,1} outside the
     transition band; this containment is verified on a grid when the
     params are built.
@@ -58,7 +59,6 @@ class StepParams:
 
     gamma: float
     eps: float
-    sharpness_coeff: float = 4.0
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 0.5:
@@ -74,15 +74,11 @@ class StepParams:
         ok = ok and np.all(s[above] >= 1.0 - self.eps - tol)
         ok = ok and np.all(s[below] <= self.eps + tol)
         if not ok:
-            raise StructuralError(
-                "soft step failed range verification; raise sharpness_coeff"
-            )
+            raise StructuralError("soft step failed range verification")
 
     @property
     def q(self):
-        return int(
-            math.ceil(self.sharpness_coeff * self.gamma**-2 * math.log(1.0 / self.eps))
-        )
+        return int(math.ceil(4.0 * self.gamma**-2 * math.log(1.0 / self.eps)))
 
     def step_values(self, x):
         # clipping removes ~1e-16 roundoff excursions outside [0, 1] so the
@@ -95,42 +91,39 @@ class StepParams:
         )
 
 
-def soft_step_iterations(params: StepParams, coeff=4.0):
+def soft_step_iterations(params: StepParams):
+    """Lanczos iterations ``ceil(4/gamma ln(1/(eps gamma)))`` for the step."""
     return int(
-        math.ceil(
-            coeff / params.gamma * math.log(1.0 / (params.eps * params.gamma))
-        )
+        math.ceil(4.0 / params.gamma * math.log(1.0 / (params.eps * params.gamma)))
     )
 
 
-def soft_step_apply(b: SymmetricOperator, x, params: StepParams, k=None,
-                    iteration_coeff=4.0):
+def soft_step_apply(b: SymmetricOperator, x, params: StepParams, k=None):
     """Apply the soft step (1 + ramp)/2 of ``b`` to ``x`` via Lanczos.
 
+    Runs ``k`` iterations, by default :func:`soft_step_iterations`.
     Requires a certified bound ``||B|| <= 1/2`` so the step's defining
     range [-1, 1] covers the extended Ritz interval.
     """
     if b.norm_hint is None or b.norm_hint > 0.5:
         raise DomainError("soft step needs an operator with norm hint <= 1/2")
     if k is None:
-        k = soft_step_iterations(params, iteration_coeff)
+        k = soft_step_iterations(params)
     x = check_vector(x, b.n, name="x")
     dec = lanczos_decompose(b, x, k)
     return apply_function(dec, params.scalar_function())
 
 
-def step_reduction_operator(a: SymmetricOperator, lam, cg_tol=1e-12,
-                            cg_iterations=1000):
+def step_reduction_operator(a: SymmetricOperator, lam):
     """Operator ``A (A + lam I)^{-1} - I/2`` for a step at threshold ``lam``.
 
-    Each product solves the shifted system with conjugate gradients to
-    relative residual ``cg_tol``.  For positive semidefinite ``a`` the
-    result has norm at most 1/2, making it a valid soft-step input.
+    Each product solves the shifted system with at most 1000 conjugate
+    gradient steps to relative residual 1e-12.  For positive semidefinite
+    ``a`` the result has norm at most 1/2, making it a valid soft-step input.
     """
     if lam <= 0:
         raise DomainError(f"shift lam must be positive, got {lam}")
-    shifted = _ShiftedOperator(a, 1.0, lam)
-    return _StepReduction(a, shifted, cg_tol, cg_iterations)
+    return _StepReduction(a, lam)
 
 
 class _ShiftedOperator:
@@ -149,28 +142,25 @@ class _ShiftedOperator:
 
 
 class _StepReduction:
-    def __init__(self, a, shifted, cg_tol, cg_iterations):
+    def __init__(self, a, lam):
         self._a = a
-        self._shifted = shifted
-        self._cg_tol = cg_tol
-        self._cg_iterations = cg_iterations
+        self._shifted = _ShiftedOperator(a, 1.0, lam)
         self.n = a.n
         self.norm_hint = 0.5
 
     def matvec(self, v):
         if not np.any(v):
             return np.zeros_like(v)
-        trace = cg_solve(self._shifted, v, self._cg_iterations,
-                         stop_tol=self._cg_tol)
+        trace = cg_solve(self._shifted, v, 1000, stop_tol=1e-12)
         return self._a.matvec(trace.solution) - 0.5 * v
 
 
 # -- matrix exponential -------------------------------------------------------
 
-def matrix_exp_apply(a: SymmetricOperator, x, eps, iteration_coeffs=(4.0, 4.0)):
+def matrix_exp_apply(a: SymmetricOperator, x, eps):
     """Approximate ``exp(A) x``; error target ``eps * e^{2||A||} ||x||``.
 
-    Runs ``ceil(c1 ||A|| + c2 ln(1/eps))`` Lanczos iterations with
+    Runs ``ceil(4 ||A|| + 4 ln(1/eps))`` Lanczos iterations with
     ``f = exp``, the Taylor-degree prescription for uniform accuracy on
     the extended spectral range.
     """
@@ -178,43 +168,43 @@ def matrix_exp_apply(a: SymmetricOperator, x, eps, iteration_coeffs=(4.0, 4.0)):
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
     x = check_vector(x, a.n, name="x")
     norm_a = _operator_norm_bound(a)
-    c1, c2 = iteration_coeffs
-    k = max(1, int(math.ceil(c1 * norm_a + c2 * math.log(1.0 / eps))))
+    k = max(1, int(math.ceil(4.0 * norm_a + 4.0 * math.log(1.0 / eps))))
     dec = lanczos_decompose(a, x, k)
     return apply_function(dec, exp_function())
 
 
 class ResolventOperator:
-    """Acts as ``(I + A/denominator)^{-1}`` through inner CG solves."""
+    """Acts as ``(I + A/denominator)^{-1}`` through inner CG solves.
 
-    def __init__(self, a: SymmetricOperator, denominator, tol, max_iterations=500):
+    Each solve runs at most 500 steps, to relative residual ``tol``.
+    """
+
+    def __init__(self, a: SymmetricOperator, denominator, tol):
         if denominator <= 0:
             raise DomainError("denominator must be positive")
         self._shifted = _ShiftedOperator(a, 1.0 / denominator, 1.0)
         self._tol = tol
-        self._max_iterations = max_iterations
         self.n = a.n
         self.norm_hint = 1.0  # PSD A keeps the resolvent's spectrum in (0, 1]
 
     def matvec(self, v):
         if not np.any(v):
             return np.zeros_like(v)
-        trace = cg_solve(self._shifted, v, self._max_iterations,
-                         stop_tol=self._tol)
+        trace = cg_solve(self._shifted, v, 500, stop_tol=self._tol)
         return trace.solution
 
 
-def matrix_exp_psd_apply(a: SymmetricOperator, x, eps, rate_coeff=4.0):
+def matrix_exp_psd_apply(a: SymmetricOperator, x, eps):
     """Approximate ``exp(-A) x`` for positive semidefinite ``A``.
 
     Works through the resolvent ``B = (I + A/k)^{-1}`` with
-    ``f(t) = exp(k - k/t)``, so only ``k = ceil(c ln(1/eps))`` inner
+    ``f(t) = exp(k - k/t)``, so only ``k = ceil(4 ln(1/eps))`` inner
     linear solves are needed; error target ``eps ||x||``.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     x = check_vector(x, a.n, name="x")
-    k = max(1, int(math.ceil(rate_coeff * math.log(1.0 / eps))))
+    k = max(1, int(math.ceil(4.0 * math.log(1.0 / eps))))
     inner_tol = max(eps**2 / (a.n * k), 1e-14)
     resolvent = ResolventOperator(a, k, inner_tol)
     dec = lanczos_decompose(resolvent, x, k)
@@ -225,8 +215,6 @@ def matrix_exp_psd_apply(a: SymmetricOperator, x, eps, rate_coeff=4.0):
 def _operator_norm_bound(a):
     if a.norm_hint is not None:
         return a.norm_hint
-    from .operators import spectral_range
-
     lo, hi = spectral_range(a, probe_iters=min(a.n, 30), margin=0.05)
     return max(abs(lo), abs(hi))
 
@@ -238,11 +226,12 @@ def power_iteration_exponent(n, delta):
     return int(math.ceil(4.0 / delta * math.log(n / delta)))
 
 
-def top_singular_iterations(n, delta, coeff=4.0):
-    return max(1, int(math.ceil(coeff * math.sqrt(1.0 / delta) * math.log(n / delta))))
+def top_singular_iterations(n, delta):
+    """Lanczos iterations ``ceil(4 sqrt(1/delta) ln(n/delta))`` per trial."""
+    return max(1, int(math.ceil(4.0 * math.sqrt(1.0 / delta) * math.log(n / delta))))
 
 
-def top_singular_value(b, delta, trials=10, seed=0, iteration_coeff=4.0):
+def top_singular_value(b, delta, trials=10, seed=0):
     """Estimate ``sigma_max(B)`` and a near-top right singular vector.
 
     Each trial seeds a uniform +-1 start vector, runs Lanczos on the
@@ -263,7 +252,7 @@ def top_singular_value(b, delta, trials=10, seed=0, iteration_coeff=4.0):
     n = b.shape[1]
     gram = SymmetricOperator.gram(b)
     q = power_iteration_exponent(n, delta)
-    k = top_singular_iterations(n, delta, iteration_coeff)
+    k = top_singular_iterations(n, delta)
 
     best_ratio = -np.inf
     best_vector = None
@@ -281,15 +270,17 @@ def top_singular_value(b, delta, trials=10, seed=0, iteration_coeff=4.0):
     return best_ratio, best_vector
 
 
-def _single_power_trial(b, gram, q, k, seed, trial, attempts=5):
+def _single_power_trial(b, gram, q, k, seed, trial):
     """One seeded power trial; returns (ratio, unit vector, ||y||) or None.
 
-    The power function is normalized by the top Ritz value, so on trials
-    where the start vector has the usual 1/sqrt(n) overlap with the top
-    eigenvector, ||y|| stays bounded below by ~1/n.
+    Draws up to 5 start vectors, until one gives a positive top Ritz value
+    and a nonzero finite ``y``.  The power function is normalized by the
+    top Ritz value, so on trials where the start vector has the usual
+    1/sqrt(n) overlap with the top eigenvector, ||y|| stays bounded below
+    by ~1/n.
     """
     base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    for attempt in range(attempts):
+    for attempt in range(5):
         rng = np.random.default_rng((*base, trial, attempt))
         z = rng.integers(0, 2, size=gram.n) * 2.0 - 1.0
         dec = lanczos_decompose(gram, z, k)
@@ -393,15 +384,14 @@ class AccelPolySpec:
         return ScalarFunction("accel_poly", self.evaluate)
 
 
-def accel_iterations(spec: AccelPolySpec, eps, coeff=2.0):
-    """Lanczos iterations ``ceil(c sqrt(k ln(k A / eps)))`` for the spec."""
+def accel_iterations(spec: AccelPolySpec, eps):
+    """Lanczos iterations ``ceil(2 sqrt(k ln(k A / eps)))`` for the spec."""
     k = max(1, spec.degree_bound)
     inside = max(k * spec.total_bound / eps, 2.0)
-    return max(1, int(math.ceil(coeff * math.sqrt(k * math.log(inside)))))
+    return max(1, int(math.ceil(2.0 * math.sqrt(k * math.log(inside)))))
 
 
-def accelerated_poly_apply(a: SymmetricOperator, x, spec: AccelPolySpec, eps,
-                           accel_coeff=2.0):
+def accelerated_poly_apply(a: SymmetricOperator, x, spec: AccelPolySpec, eps):
     """Apply a high-degree certified polynomial in ~sqrt(degree) iterations.
 
     Error target ``eps * A_total * ||x||`` where ``A_total`` is the
@@ -412,6 +402,6 @@ def accelerated_poly_apply(a: SymmetricOperator, x, spec: AccelPolySpec, eps,
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
     x = check_vector(x, a.n, name="x")
-    q = accel_iterations(spec, eps, accel_coeff)
+    q = accel_iterations(spec, eps)
     dec = lanczos_decompose(a, x, q)
     return apply_function(dec, spec.scalar_function())

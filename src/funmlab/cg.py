@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chebyshev import ChebyshevExpansion
 from .errors import NonpositiveCurvatureError, StructuralError
 from .functions import inverse_function
 from .lanczos import apply_function, lanczos_decompose
@@ -126,8 +127,6 @@ def anorm_optimality_check(a: SymmetricOperator, b, k, trial_polys=100, seed=0):
     serves every candidate ``p(A) b``; each equals
     :func:`~funmlab.operators.exact_matrix_function`'s bit for bit.
     """
-    from .chebyshev import ChebyshevExpansion
-
     b = check_vector(b, a.n, name="b")
     trace = cg_solve(a, b, k)
     dense = a.to_dense()

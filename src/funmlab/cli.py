@@ -45,18 +45,6 @@ from .precision import PrecisionConfig, lanczos_emulated, paige_report
 
 SCHEMA_VERSION = 1
 
-_COMMANDS = (
-    "apply",
-    "solve",
-    "exp",
-    "step",
-    "topsv",
-    "lowerbound",
-    "precision-sweep",
-    "paige-check",
-)
-
-
 @dataclass
 class ExperimentConfig:
     command: str
@@ -144,7 +132,7 @@ def build_config(args) -> ExperimentConfig:
     merged.update((key, value) for key, value in vars(args).items()
                   if key in _KEY_TYPES and value is not None)
     cfg = ExperimentConfig(command=args.command, **merged)
-    if cfg.command not in _COMMANDS:
+    if cfg.command not in _REQUIRED:
         raise StructuralError(f"unknown command {cfg.command!r}")
     missing = [
         name for name in _REQUIRED[cfg.command] if getattr(cfg, name) is None
@@ -167,6 +155,15 @@ def _source_syntax(source):
         raise StructuralError(f"malformed matrix source {source!r}") from None
 
 
+def _check_source_range(source, *values):
+    """Sizes and kappa in a matrix source must be finite and at least 1."""
+    if not all(1 <= v < math.inf for v in values):
+        raise StructuralError(
+            f"malformed matrix source {source!r}: sizes and kappa must be "
+            "finite and at least 1"
+        )
+
+
 def build_operator(cfg: ExperimentConfig) -> SymmetricOperator:
     source = cfg.matrix
     if not source:
@@ -183,6 +180,7 @@ def build_operator(cfg: ExperimentConfig) -> SymmetricOperator:
         with _source_syntax(source):
             n = int(parts[0])
             kappa = float(parts[1]) if len(parts) > 1 else 10.0
+        _check_source_range(source, n, kappa)
         basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
         values = np.geomspace(1.0 / kappa, 1.0, n)
         mat = (basis * values) @ basis.T
@@ -190,6 +188,7 @@ def build_operator(cfg: ExperimentConfig) -> SymmetricOperator:
     if source.startswith("random-sym:"):
         with _source_syntax(source):
             n = int(source[len("random-sym:"):])
+        _check_source_range(source, n)
         mat = rng.standard_normal((n, n))
         mat = mat + mat.T
         mat /= np.linalg.norm(mat, 2)
@@ -211,6 +210,7 @@ def _rect_factor(cfg: ExperimentConfig):
         raise StructuralError("topsv needs --matrix random-rect:m,n")
     with _source_syntax(source):
         rows, cols = (int(v) for v in source[len("random-rect:"):].split(","))
+    _check_source_range(source, rows, cols)
     rng = np.random.default_rng((cfg.seed, 0))
     return rng.standard_normal((rows, cols))
 
@@ -588,7 +588,7 @@ def make_parser():
         description="Seeded matrix-function and precision experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _REQUIRED:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="key=value config file")
         for key, kind in _KEY_TYPES.items():

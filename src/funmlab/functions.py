@@ -63,17 +63,9 @@ def evaluate_scalar(f, values):
     Raises :class:`DomainError` naming the first offending point when the
     output is not finite.
     """
-    values = np.asarray(values, dtype=float)
-    if isinstance(f, ScalarFunction):
-        return f.evaluate(values)
-    with np.errstate(all="ignore"):
-        out = np.asarray(f(values), dtype=float)
-    if out.shape != values.shape:
-        raise StructuralError("scalar function must evaluate elementwise")
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        raise DomainError(f"function is not finite at {values[bad].flat[0]!r}")
-    return out
+    if not isinstance(f, ScalarFunction):
+        f = ScalarFunction("function", f)
+    return f.evaluate(values)
 
 
 def identity_function():

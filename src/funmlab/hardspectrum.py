@@ -21,7 +21,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, StructuralError
 from .functions import inverse_function
-from .minimax import DEFAULT_GRID, IntervalUnion, minimax
+from .minimax import IntervalUnion, minimax
 from .operators import SymmetricOperator
 
 DEFAULT_Z_CAP = 60
@@ -55,8 +55,7 @@ class HardSpectrum:
         return SymmetricOperator.from_diagonal(self.eigenvalues)
 
 
-def hard_spectrum(kappa, eta, z_cap=DEFAULT_Z_CAP,
-                  grid_per_interval=DEFAULT_GRID) -> HardSpectrum:
+def hard_spectrum(kappa, eta, z_cap=DEFAULT_Z_CAP) -> HardSpectrum:
     """Construct the hard spectrum for condition number ``kappa``.
 
     ``eta`` must keep the intervals pairwise disjoint (below half the
@@ -103,10 +102,7 @@ def hard_spectrum(kappa, eta, z_cap=DEFAULT_Z_CAP,
     eigenvalues = eigenvalues[order]
     buckets = buckets[order]
 
-    intervals = IntervalUnion(
-        tuple((lam - eta, lam + eta) for lam in eigenvalues),
-        grid_per_interval,
-    )
+    intervals = IntervalUnion(tuple((lam - eta, lam + eta) for lam in eigenvalues))
     return HardSpectrum(
         kappa=float(kappa),
         eta=float(eta),

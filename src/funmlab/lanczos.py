@@ -168,18 +168,15 @@ def lanczos_decompose(
     )
 
 
-def apply_function(dec: LanczosDecomposition, f: ScalarFunction, x_norm=None):
-    """Step 12: return ``x_norm * Q f(T) e_1``."""
-    if x_norm is None:
-        x_norm = dec.x_norm
+def apply_function(dec: LanczosDecomposition, f: ScalarFunction):
+    """Step 12: return ``||x|| Q f(T) e_1``."""
     z = apply_scalar_to_e1(dec.tridiagonal(), f)
-    return x_norm * (dec.q_basis @ z)
+    return dec.x_norm * (dec.q_basis @ z)
 
 
-def lanczos_apply(a: SymmetricOperator, x, k, f, breakdown_tol=None):
+def lanczos_apply(a: SymmetricOperator, x, k, f):
     """Convenience wrapper: decompose then apply ``f``."""
-    dec = lanczos_decompose(a, x, k, breakdown_tol)
-    return apply_function(dec, f)
+    return apply_function(lanczos_decompose(a, x, k), f)
 
 
 def three_term_residual(dec: LanczosDecomposition, a: SymmetricOperator):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from scipy.optimize import linprog
 
 from .chebyshev import ChebyshevExpansion, to_unit
@@ -93,15 +94,12 @@ class IntervalUnion:
 
 
 def chebyshev_columns(x, hull, ncols):
-    """Matrix with columns T_0(t) .. T_{ncols-1}(t) for t = unit-mapped x."""
-    t = np.atleast_1d(to_unit(x, hull))
-    cols = np.empty((t.size, ncols))
-    cols[:, 0] = 1.0
-    if ncols > 1:
-        cols[:, 1] = t
-    for i in range(2, ncols):
-        cols[:, i] = 2.0 * t * cols[:, i - 1] - cols[:, i - 2]
-    return cols
+    """Matrix with columns T_0(t) .. T_{ncols-1}(t) for t = unit-mapped x.
+
+    C-contiguous, because BLAS rounds ``phi @ coeffs`` differently on the
+    column-strided array ``chebvander`` returns.
+    """
+    return np.ascontiguousarray(chebvander(to_unit(x, hull), ncols - 1))
 
 
 def _solve_epigraph(grid, values, hull, degree, constraint_at_zero, seeds):
@@ -242,7 +240,7 @@ def minimax(f, domain: IntervalUnion, degree, constraint_at_zero=None):
     return expansion, delta
 
 
-def error_curve(f, domain: IntervalUnion, target, k_max, constraint_at_zero=None):
+def error_curve(f, domain: IntervalUnion, target, k_max):
     """Minimax errors at degrees 0, 1, ... up to the first meeting ``target``.
 
     Ends at ``k_max`` if none does; raises where the curve increases, which
@@ -250,7 +248,7 @@ def error_curve(f, domain: IntervalUnion, target, k_max, constraint_at_zero=None
     """
     curve = []
     for degree in range(0, k_max + 1):
-        _, delta = minimax(f, domain, degree, constraint_at_zero)
+        _, delta = minimax(f, domain, degree)
         if curve and not delta <= curve[-1] * (1.0 + 1e-9) + 1e-12:
             raise SolverFailureError(
                 f"minimax error increased from {curve[-1]} to {delta} "
@@ -262,8 +260,7 @@ def error_curve(f, domain: IntervalUnion, target, k_max, constraint_at_zero=None
     return curve
 
 
-def min_degree_for(f, domain: IntervalUnion, target, k_max,
-                   constraint_at_zero=None):
+def min_degree_for(f, domain: IntervalUnion, target, k_max):
     """Smallest degree (at most ``k_max``) whose minimax error meets ``target``.
 
     The end of :func:`error_curve`'s scan, or ``None`` if it never meets it.
@@ -272,5 +269,5 @@ def min_degree_for(f, domain: IntervalUnion, target, k_max,
         raise DomainError("target error must be positive")
     if k_max < 1:
         raise StructuralError("k_max must be at least 1")
-    curve = error_curve(f, domain, target, k_max, constraint_at_zero)
+    curve = error_curve(f, domain, target, k_max)
     return len(curve) - 1 if curve[-1] <= target else None

@@ -92,6 +92,14 @@ class TestConfigParsing:
         ["apply", "--matrix", "diag:1,x", "--k", "2"],
         ["apply", "--matrix", "random-sym:4.5", "--k", "2"],
         ["topsv", "--matrix", "random-rect:5", "--delta", "0.2"],
+        ["apply", "--matrix", "random-spd:-3", "--k", "2"],
+        ["apply", "--matrix", "random-spd:0", "--k", "2"],
+        ["apply", "--matrix", "random-spd:5,0", "--k", "2"],
+        ["apply", "--matrix", "random-spd:5,-2", "--k", "2"],
+        ["apply", "--matrix", "random-spd:5,inf", "--k", "2"],
+        ["apply", "--matrix", "random-sym:0", "--k", "2"],
+        ["topsv", "--matrix", "random-rect:0,5", "--delta", "0.2"],
+        ["topsv", "--matrix", "random-rect:5,-1", "--delta", "0.2"],
     ])
     def test_malformed_matrix_source_is_structural(self, tmp_path, argv):
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from funmlab import DomainError, ScalarFunction, StructuralError, scalar_function_by_name
+from funmlab.functions import evaluate_scalar
 
 
 class TestScalarFunction:
@@ -22,6 +23,10 @@ class TestScalarFunction:
         f = scalar_function_by_name("inv")
         with pytest.raises(DomainError, match="0.0"):
             f.evaluate(np.array([1.0, 0.0]))
+
+    def test_bare_callable_nonfinite_names_point(self):
+        with pytest.raises(DomainError, match="not finite at .*2.5"):
+            evaluate_scalar(lambda x: np.where(x > 2.0, np.inf, x), np.array([1.0, 2.5, 3.0]))
 
     def test_vectorized_evaluation(self):
         f = scalar_function_by_name("exp")

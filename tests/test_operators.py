@@ -14,7 +14,6 @@ from funmlab import (
     UnsupportedFormatError,
     exact_matrix_function,
     load_matrix_market,
-    matvec,
     spectral_range,
 )
 from funmlab.operators import ascending_matvec
@@ -40,9 +39,9 @@ class TestMatvec:
         a = SymmetricOperator.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_array_equal(a.matvec(np.array([2.0, 5.0])), [5.0, 2.0])
 
-    def test_module_level_alias(self):
+    def test_one_by_one(self):
         a = SymmetricOperator.from_diagonal([2.0])
-        np.testing.assert_array_equal(matvec(a, np.array([3.0])), [6.0])
+        np.testing.assert_array_equal(a.matvec(np.array([3.0])), [6.0])
 
     def test_dimension_mismatch(self):
         a = SymmetricOperator.from_diagonal([1.0, 2.0])
