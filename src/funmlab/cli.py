@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -374,8 +375,17 @@ def run_step(cfg: ExperimentConfig):
     return rows, report, passed
 
 
+def _count(value, default, flag):
+    """A count setting: ``default`` when unset, and at least 1 when set."""
+    if value is None:
+        return default
+    if value < 1:
+        raise StructuralError(f"--{flag} must be at least 1, got {value}")
+    return value
+
+
 def run_topsv(cfg: ExperimentConfig):
-    trials = cfg.trials or 50
+    trials = _count(cfg.trials, 50, "trials")
     factor = _rect_factor(cfg)
     sigma = float(np.linalg.norm(factor, 2))
     threshold = (1.0 - cfg.delta) * sigma
@@ -407,7 +417,7 @@ def run_topsv(cfg: ExperimentConfig):
 
 def run_lowerbound(cfg: ExperimentConfig):
     target = cfg.target if cfg.target is not None else 1.0 / 6.0
-    kmax = cfg.kmax or 80
+    kmax = _count(cfg.kmax, 80, "kmax")
     spec = hard_spectrum(cfg.kappa, cfg.eta, z_cap=cfg.zcap)
     # a curve that increases raises, so every row it returns is monotone
     curve = error_curve(inverse_function(), spec.intervals, target, kmax)
@@ -582,6 +592,7 @@ def _write_meta(out, cfg, started, exit_code):
     )
 
 
+@functools.cache
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="funmlab",

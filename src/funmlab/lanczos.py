@@ -120,8 +120,10 @@ def lanczos_core(matvec, x, k, ops, breakdown_tol, norm_hint, eps):
         w = ops.sub(w, ops.scale(alpha, q))
         beta_next = ops.norm(w)
         alphas.append(alpha)
+        # the running max folds in the same order as max() over all alphas
+        alpha_max = abs(alpha) if i == 1 else max(alpha_max, abs(alpha))
 
-        scale = max(norm_hint or 0.0, max(abs(a) for a in alphas))
+        scale = max(norm_hint or 0.0, alpha_max)
         if beta_next <= breakdown_tol * scale:
             breakdown = i < k
             beta_next = float(beta_next)

@@ -13,6 +13,12 @@ diagonal is one rounded product, so sparse and diagonal operators are
 never densified.  Only the Gram form ``B^T B`` is still densified and
 rounded as one matrix, which is why its 52-bit run differs from the
 exact path (a known defect; see :meth:`EmulatedArithmetic.make_matvec`).
+
+The Paige check reads the spectral extremes per storage kind too: a
+diagonal's are its smallest and largest entries, CSR operators and Gram
+forms of a sparse factor get inward bounds from ARPACK eigenvectors, and
+only dense matrices and Gram forms of a dense factor run a dense
+``eigvalsh`` (see :func:`paige_report`).
 """
 
 from __future__ import annotations
@@ -21,9 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .cg import CgTrace
-from .errors import NonpositiveCurvatureError, StructuralError
+from .errors import NonpositiveCurvatureError, SolverFailureError, StructuralError
 from .lanczos import (
     LanczosDecomposition,
     lanczos_core,
@@ -114,12 +122,27 @@ class EmulatedArithmetic:
         return _round_scalar(math.sqrt(self._rounded_sum(v * v)), self._bits)
 
     def _rounded_sum(self, products):
-        """Round each product, then add them in index order, rounding each sum."""
+        """Round each product, then add them in index order, rounding each sum.
+
+        The loop is :func:`_round_scalar` inlined.  A zero sum rounds to
+        ``+0.0``, so ``or s`` hands back the sum itself, keeping its sign.
+        ``round`` raises on an inf or NaN sum, which :func:`_round_scalar`
+        passes through unchanged, so such a sum reruns the plain loop.
+        """
         terms = self._rnd(products).tolist()
         bits = self._bits
+        scale = 2.0 ** (bits + 1)
+        frexp, ldexp = math.frexp, math.ldexp
         acc = terms[0]
-        for t in terms[1:]:
-            acc = _round_scalar(acc + t, bits)
+        try:
+            for t in terms[1:]:
+                s = acc + t
+                mantissa, exponent = frexp(s)
+                acc = ldexp(round(mantissa * scale) / scale, exponent) or s
+        except (OverflowError, ValueError):
+            acc = terms[0]
+            for t in terms[1:]:
+                acc = _round_scalar(acc + t, bits)
         return acc
 
     def matvec_dense(self, mat, v):
@@ -299,26 +322,38 @@ def paige_report(diag: LanczosDiagnostics, a: SymmetricOperator) -> PaigeReport:
     """Evaluate the finite-precision output inequalities for one run.
 
     Checks, with eps the emulated machine epsilon, k the steps taken,
-    and ||A|| the true spectral norm:
+    lmin and lmax the extreme eigenvalues of ``a`` and
+    ||A|| = max(-lmin, lmax) its spectral norm:
 
     * residual:  ||E|| <= k (2 n^{3/2} + 7) ||A|| eps
     * basis norms:  | ||q_i|| - 1 | <= (n + 4) eps
     * Ritz containment within [lmin - eps1, lmax + eps1] for
       eps1 = k^{5/2} ||A|| (68 + 17 n^{3/2}) eps
+
+    lmin and lmax come from the cheapest safe source for each storage
+    kind (:func:`_spectral_extremes`):
+
+    * diagonal: the smallest and largest stored entry, which are the
+      eigenvalues themselves;
+    * dense, and Gram with a dense factor: LAPACK ``eigvalsh`` of the
+      dense matrix, the exact oracle (ARPACK is slower at these sizes);
+    * CSR, and Gram with a sparse factor: bounds that provably lie inside
+      [lmin, lmax] (:func:`_krylov_extremes`), so no n x n array is built.
+
+    Inside bounds can only make the checks stricter: the norm they give
+    is at most ||A||, which shrinks the residual and containment bounds,
+    and the measured Ritz excursion past them can only grow.
     """
     eps = diag.config.epsilon
     n = diag.n
     k = diag.steps_taken
-    spectrum = np.linalg.eigvalsh(a.to_dense())
-    norm_a = float(np.max(np.abs(spectrum)))
+    lmin, lmax = _spectral_extremes(a)
+    norm_a = max(0.0, -lmin, lmax)
 
     residual_bound = k * (2.0 * n**1.5 + 7.0) * norm_a * eps
     qnorm_bound = (n + 4.0) * eps
     eps1 = k**2.5 * norm_a * (68.0 + 17.0 * n**1.5) * eps
-    excursion = max(
-        float(spectrum[0] - diag.ritz_min),
-        float(diag.ritz_max - spectrum[-1]),
-    )
+    excursion = max(lmin - diag.ritz_min, diag.ritz_max - lmax)
 
     checks = (
         PaigeCheck(
@@ -341,6 +376,71 @@ def paige_report(diag: LanczosDiagnostics, a: SymmetricOperator) -> PaigeReport:
         ),
     )
     return PaigeReport(checks=checks)
+
+
+def _spectral_extremes(a: SymmetricOperator):
+    """``(lo, hi)`` with ``lmin <= lo`` and ``hi <= lmax`` (see :func:`paige_report`)."""
+    if a.kind == "diagonal":
+        return float(np.min(a.data)), float(np.max(a.data))
+    if sp.issparse(a.data):
+        return _krylov_extremes(a)
+    spectrum = np.linalg.eigvalsh(a.to_dense())
+    return float(spectrum[0]), float(spectrum[-1])
+
+
+def _krylov_extremes(a: SymmetricOperator):
+    """Inward bounds on the extreme eigenvalues of a sparse operator.
+
+    ARPACK (``eigsh`` over the exact ``a.matvec``) returns one eigenvector
+    estimate ``v`` per end.  Its start vector is drawn with seed 0, as in
+    :func:`~funmlab.operators.spectral_range`: a structured start such as
+    ``ones`` can be orthogonal to an extreme eigenvector (it is to the top
+    one of a square-grid Laplacian).  scipy's ARPACK needs n >= 2; a
+    scalar operator (n = 1) has the one eigenvector ``e1``.
+
+    For any nonzero ``v`` the exact Rayleigh quotient
+    ``rho = v^T A v / v^T v`` lies in [lmin, lmax], so only the rounding
+    of its evaluation can put it outside; ARPACK's own Ritz values carry
+    no such guarantee.  Forward error, with u = 2^-53 and
+    gamma_j = j u / (1 - j u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3): let ``m`` bound the products summed
+    into one entry of ``fl(A v)`` (the longest CSR row; for ``B^T B`` the
+    longest row plus the longest column of ``B``), let ``M`` be ``|A|``
+    (``|B^T| |B|``), which bounds ``|A|`` entrywise, and ``r`` its largest
+    row sum, so ``v^T M v <= r ||v||^2`` and ``|rho| <= ||A|| <= r``.
+    Then ``|fl(A v) - A v| <= gamma_m M |v|``; ``math.fsum`` rounds a sum
+    once, so numerator and denominator carry a further gamma_2 each, and
+    the computed quotient is within ``2 gamma_{m+3} r`` of ``rho``.  The
+    computed ``r`` is low by at most a factor ``1 - gamma_m`` and the
+    inward move rounds once more; with ``(m + 4) u <= 1/100`` all of it
+    stays below ``4 (m + 4) u r``, the shift applied to each end.  A zero
+    ``r`` means ``A = 0``.  Any ARPACK error, non-convergence included,
+    raises :class:`SolverFailureError`.
+    """
+    mags = abs(a.data)
+    terms = int(np.diff(mags.indptr).max(initial=0))
+    if a.kind == "sparse":
+        row_sums = mags @ np.ones(a.n)
+    else:
+        terms += int(np.bincount(mags.indices, minlength=a.n).max())
+        row_sums = mags.T @ (mags @ np.ones(a.n))
+    r = float(row_sums.max())
+    if r == 0.0:
+        return 0.0, 0.0
+    shift = 4.0 * (terms + 4) * 2.0**-53 * r
+
+    if a.n == 1:
+        vectors = (np.ones(1),) * 2
+    else:
+        op = LinearOperator((a.n, a.n), matvec=a.matvec, dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(a.n)
+        try:
+            vectors = [eigsh(op, k=1, which=which, v0=v0, tol=0)[1][:, 0]
+                       for which in ("SA", "LA")]
+        except ArpackError as exc:
+            raise SolverFailureError(f"ARPACK found no extreme eigenpair: {exc}") from None
+    lo, hi = (math.fsum(v * a.matvec(v)) / math.fsum(v * v) for v in vectors)
+    return lo + shift, hi - shift
 
 
 def cg_emulated(a: SymmetricOperator, b, k, cfg: PrecisionConfig):

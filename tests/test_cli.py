@@ -109,6 +109,21 @@ class TestConfigParsing:
         assert "malformed matrix source" in report["error"]["message"]
 
 
+    @pytest.mark.parametrize("argv", [
+        ["topsv", "--matrix", "random-rect:5,4", "--delta", "0.2", "--trials", "-3"],
+        ["topsv", "--matrix", "random-rect:5,4", "--delta", "0.2", "--trials", "0"],
+        ["lowerbound", "--kappa", "4", "--eta", "1e-3", "--kmax", "0"],
+    ])
+    def test_count_below_one_is_structural(self, tmp_path, argv, capsys):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--output-dir", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["type"] == "StructuralError"
+        assert "must be at least 1" in report["error"]["message"]
+        assert not (out / "results.csv").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestSpecInvocations:
     """The documented command lines, verbatim."""
 
@@ -160,6 +175,29 @@ class TestDeterminism:
             assert code == 0
             outs.append((out / "results.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_cached_parser_writes_what_fresh_parsers_write(self, tmp_path):
+        runs = [
+            ["topsv", "--matrix", "random-rect:6,4", "--delta", "0.3",
+             "--trials", "3", "--seed", "5"],
+            ["apply", "--matrix", "diag:1,2,3", "--function", "sqrt", "--k", "3"],
+        ]
+
+        def outputs(prefix, fresh):
+            files = []
+            for i, argv in enumerate(runs):
+                if fresh:
+                    cli.make_parser.cache_clear()
+                out = tmp_path / f"{prefix}{i}"
+                assert run_cli(argv + ["--output-dir", str(out)]) == 0
+                files += [(out / name).read_bytes()
+                          for name in ("results.csv", "report.json")]
+                # meta.json also holds times; its config shows any leaked flag
+                config = json.loads((out / "meta.json").read_text())["config"]
+                files.append({k: v for k, v in config.items() if k != "output_dir"})
+            return files
+
+        assert outputs("cached", fresh=False) == outputs("fresh", fresh=True)
 
     def test_seed_changes_results(self, tmp_path):
         bodies = []

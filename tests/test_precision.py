@@ -10,19 +10,28 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from funmlab import (
     PrecisionConfig,
+    SolverFailureError,
     StructuralError,
     SymmetricOperator,
     cg_emulated,
     lanczos_decompose,
     lanczos_emulated,
     paige_report,
+    precision,
     round_to,
 )
+from funmlab.hardspectrum import hard_spectrum
 from funmlab.lanczos import LanczosDecomposition
-from funmlab.precision import EmulatedArithmetic, _round_scalar, diagnose
+from funmlab.precision import (
+    EmulatedArithmetic,
+    _round_scalar,
+    _spectral_extremes,
+    diagnose,
+)
 
 BITS = (8, 16, 24, 52)
 
@@ -47,6 +56,10 @@ def diagonally_dominant(a):
     """``a`` shifted by more than its largest absolute row sum: SPD."""
     shift = abs(a.data).sum(axis=1).max() + 1.0
     return SymmetricOperator.from_sparse(a.data + shift * sp.identity(a.n))
+
+
+def refuse_to_densify(self):
+    raise AssertionError(f"to_dense called on {self!r}")
 
 
 def random_unit_symmetric(seed, n):
@@ -248,15 +261,12 @@ class TestStorageKernels:
     def test_sparse_and_diagonal_never_densified(self, monkeypatch):
         (csr, diag), rng = self.operators()
         spd = diagonally_dominant(csr)
-
-        def refuse(self):
-            raise AssertionError(f"to_dense called on {self!r}")
-
-        monkeypatch.setattr(SymmetricOperator, "to_dense", refuse)
+        monkeypatch.setattr(SymmetricOperator, "to_dense", refuse_to_densify)
         ar = EmulatedArithmetic(PrecisionConfig(16))
         for a in (csr, diag, spd):
             ar.make_matvec(a)(rng.standard_normal(a.n))
-            lanczos_emulated(a, rng.standard_normal(a.n), 8, PrecisionConfig(16))
+            _, run = lanczos_emulated(a, rng.standard_normal(a.n), 8, PrecisionConfig(16))
+            paige_report(run, a)
         cg_emulated(spd, rng.standard_normal(spd.n), 8, PrecisionConfig(16))
 
     def test_full_width_lanczos_on_csr_equals_exact_run(self):
@@ -309,6 +319,20 @@ class TestEmulatedReductions:
             squares = [round_to(float(a) * float(a), cfg) for a in u]
             expected = round_to(math.sqrt(self.reference_sum(squares, cfg)), cfg)
             assert ar.norm(u) == expected
+
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_signed_zeros_and_non_finite_sums_match_scalar_loop(self, bits):
+        cfg = PrecisionConfig(bits)
+        ar = EmulatedArithmetic(cfg)
+        cases = ([-0.0, -0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [1.0, -1.0, -0.0],
+                 [-0.0], [1e308, 1e308, -1.0], [1.0, np.inf, 2.0],
+                 [np.inf, -np.inf, 1.0], [1.0, np.nan])
+        for terms in cases:
+            u = np.array(terms)
+            expected = self.reference_sum([round_to(float(t), cfg) for t in u], cfg)
+            # repr tells -0.0 from 0.0 and names nan
+            assert repr(ar.dot(u, np.ones_like(u))) == repr(expected), terms
 
 
 class TestEmulatedLanczos:
@@ -403,6 +427,123 @@ class TestPaigeReport:
         report = paige_report(diagnose(buggy, a, cfg), a)
         assert not report.all_passed
         assert not report["qnorm_drift"].passed
+
+
+def laplacian_2d(m):
+    """The 5-point Dirichlet Laplacian on an m x m grid, CSR, scaled by 1/8."""
+    t = sp.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
+    grid = sp.kron(t, sp.identity(m)) + sp.kron(sp.identity(m), t)
+    return SymmetricOperator.from_sparse(grid.tocsr() * 0.125)
+
+
+def laplacian_2d_spectrum(m):
+    """Closed form (DST-I): eigenvalues of :func:`laplacian_2d`, ascending."""
+    d = 2.0 - 2.0 * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
+    return np.sort((d[:, None] + d[None, :]).ravel()) * 0.125
+
+
+def random_csr_spd(seed, n=300):
+    m = sp.random(n, n, density=0.03, random_state=seed)
+    return SymmetricOperator.from_sparse((m + m.T + 8.0 * sp.identity(n)).tocsr())
+
+
+class TestSpectralExtremes:
+    """``paige_report``'s extremes per storage kind against dense ``eigvalsh``."""
+
+    @staticmethod
+    def dense_verdict(diag, spectrum):
+        """Paige's three verdicts computed from the full dense spectrum."""
+        eps, n, k = diag.config.epsilon, diag.n, diag.steps_taken
+        norm_a = float(np.max(np.abs(spectrum)))
+        excursion = max(spectrum[0] - diag.ritz_min, diag.ritz_max - spectrum[-1])
+        return (
+            diag.residual_norm <= k * (2.0 * n**1.5 + 7.0) * norm_a * eps,
+            diag.max_qnorm_drift <= (n + 4.0) * eps,
+            excursion <= k**2.5 * norm_a * (68.0 + 17.0 * n**1.5) * eps,
+        )
+
+    def sparse_cases(self):
+        factor = sp.random(200, 120, density=0.05, random_state=5, format="csr")
+        return (laplacian_2d(40), random_csr_spd(4), SymmetricOperator.gram(factor))
+
+    def test_sparse_extremes_lie_inside_and_close(self):
+        for a in self.sparse_cases():
+            lo, hi = _spectral_extremes(a)
+            spectrum = np.linalg.eigvalsh(a.to_dense())
+            slack = 1e-12 * np.max(np.abs(spectrum))
+            assert spectrum[0] <= lo <= spectrum[0] + slack, a
+            assert spectrum[-1] - slack <= hi <= spectrum[-1], a
+
+    def test_laplacian_extremes_against_closed_form(self):
+        # the top eigenvector is orthogonal to ones: a start of ones misses it
+        exact = laplacian_2d_spectrum(40)
+        lo, hi = _spectral_extremes(laplacian_2d(40))
+        assert exact[0] <= lo <= exact[0] + 1e-12 * exact[-1]
+        assert exact[-1] * (1.0 - 1e-12) <= hi <= exact[-1]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_csr_operators(self, n):
+        a = SymmetricOperator.from_sparse(np.array([[2.0, -1.0], [-1.0, 3.0]])[:n, :n])
+        lo, hi = _spectral_extremes(a)
+        spectrum = np.linalg.eigvalsh(a.to_dense())
+        # n = 1: e1 is the eigenvector; n = 2 runs ARPACK
+        assert spectrum[0] <= lo <= spectrum[0] + 1e-12 * spectrum[-1]
+        assert spectrum[-1] * (1.0 - 1e-12) <= hi <= spectrum[-1]
+        _, run = lanczos_emulated(a, np.ones(n), 2, PrecisionConfig(16))
+        assert paige_report(run, a).all_passed
+
+    def test_zero_csr_operator(self):
+        zero = SymmetricOperator.from_sparse(sp.csr_matrix((4, 4)))
+        assert _spectral_extremes(zero) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("kappa", [16.0, 64.0, 256.0])
+    def test_diagonal_extremes_equal_eigvalsh_bit_for_bit(self, kappa):
+        a = hard_spectrum(kappa, 1e-4).operator()
+        spectrum = np.linalg.eigvalsh(a.to_dense())
+        assert _spectral_extremes(a) == (spectrum[0], spectrum[-1])
+
+    def test_dense_and_dense_gram_reports_unchanged(self):
+        rng = np.random.default_rng(13)
+        dense, _ = random_unit_symmetric(13, 40)
+        gram = SymmetricOperator.gram(rng.standard_normal((60, 40)))
+        for a in (dense, gram):
+            _, run = lanczos_emulated(a, rng.standard_normal(40), 12, PrecisionConfig(16))
+            spectrum = np.linalg.eigvalsh(a.to_dense())
+            norm_a = float(np.max(np.abs(spectrum)))
+            eps, n, k = run.config.epsilon, run.n, run.steps_taken
+            report = paige_report(run, a)
+            assert report["residual_norm"].bound == k * (2.0 * n**1.5 + 7.0) * norm_a * eps
+            assert report["ritz_containment"].measured == max(
+                float(spectrum[0] - run.ritz_min), float(run.ritz_max - spectrum[-1]))
+
+    @pytest.mark.parametrize("bits", [8, 12, 16, 24, 52])
+    def test_verdicts_equal_dense_spectrum_verdicts(self, bits):
+        rng = np.random.default_rng(bits)
+        for a in self.sparse_cases():
+            x = rng.standard_normal(a.n)
+            _, run = lanczos_emulated(a, x, 20, PrecisionConfig(bits))
+            report = paige_report(run, a)
+            verdict = self.dense_verdict(run, np.linalg.eigvalsh(a.to_dense()))
+            assert tuple(c.passed for c in report.checks) == verdict, report.as_dict()
+
+    def test_arpack_failure_is_a_solver_failure(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(precision, "eigsh", no_convergence)
+        with pytest.raises(SolverFailureError):
+            _spectral_extremes(laplacian_2d(5))
+
+    def test_laplacian_4900_never_densified(self, monkeypatch):
+        a = laplacian_2d(70)
+        monkeypatch.setattr(SymmetricOperator, "to_dense", refuse_to_densify)
+        rng = np.random.default_rng(14)
+        _, run = lanczos_emulated(a, rng.standard_normal(a.n), 15, PrecisionConfig(16))
+        report = paige_report(run, a)
+        assert report.all_passed, report.as_dict()
+        exact = laplacian_2d_spectrum(70)
+        assert report["residual_norm"].bound <= (
+            15 * (2.0 * a.n**1.5 + 7.0) * exact[-1] * 2.0**-16)
 
 
 class TestEmulatedCg:
