@@ -7,7 +7,8 @@ runs therefore produce byte-identical ``results.csv`` bodies; wall-clock
 information lives only in ``meta.json``.
 
 Exit codes: 0 all bound checks passed, 1 a check failed, 2 invalid
-configuration, 3 numerical failure inside a study.
+configuration, 3 a study raised: invalid input such as ``--trials 0``
+(printed as such) or a numerical failure.
 """
 
 from __future__ import annotations
@@ -564,7 +565,8 @@ def run(cfg: ExperimentConfig) -> int:
             json.dumps(failure, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         _write_meta(out, cfg, started, exit_code=3)
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        label = "invalid input" if isinstance(exc, StructuralError) else "numerical failure"
+        print(f"{label}: {exc}", file=sys.stderr)
         return 3
 
     write_results_csv(out / "results.csv", cfg.command, rows)

@@ -7,12 +7,32 @@ configured width, including each fused step inside dot products, norms,
 and matrix-vector accumulations (all accumulated in ascending index
 order, mirroring the exact path).
 
+The hot loops (the dense matvec's lockstep sums and the ``dot``/``norm``
+reductions) round by Veltkamp's split (Dekker, Numer. Math. 18, 1971).
+With ``s = 52 - bits``, ``c = x (2^s + 1)`` holds ``x 2^s`` at full
+precision, so ``c - x`` is ``x 2^s`` rounded at ``c``'s last place and
+``r = c - (c - x)`` is ``x`` with its last ``s`` bits rounded away: ``x``
+rounded to nearest at ``53 - s = bits + 1`` significant bits, in three
+IEEE operations.  Its ties are broken to even, as the two roundings of
+``c`` are, and underflow does not change the result, so subnormals round
+as :func:`round_to` rounds them (S. Boldo, "Pitfalls of a full
+floating-point proof", IJCAR 2006, proves both in radix 2).  ``+-0`` gives
+``c = +-0`` and ``c - x = +0``, so ``r`` keeps the sign of the zero.  The
+split is therefore :func:`round_to` bit for bit, which the tests check at
+every width with ties, signed zeros and subnormal sums.  It fails only
+where ``c`` overflows, once ``|x| (2^s + 1)`` reaches ``2^1024``: ``c`` is
+inf and ``c - (c - x)`` NaN, and a NaN stays NaN through every later sum,
+as does an inf or NaN sum.  So each kernel tests its result for NaN once
+and, if one is there, reruns the ``frexp`` reference loop on the same
+inputs.  Elementwise vector operations keep ``frexp``, which is as fast
+there as the split plus its test.
+
 Emulated matvecs run one kernel per storage kind: dense rows sum in
-lockstep over columns, CSR rows over their stored entries, and a
-diagonal is one rounded product, so sparse and diagonal operators are
-never densified.  Only the Gram form ``B^T B`` is still densified and
-rounded as one matrix, which is why its 52-bit run differs from the
-exact path (a known defect; see :meth:`EmulatedArithmetic.make_matvec`).
+lockstep over columns, CSR rows over their stored entries, a diagonal is
+one rounded product, and the Gram form ``B^T B`` is two emulated products
+``fl(B^T fl(B v))``, each with the kernel of ``B``'s storage.  No operator
+is densified, and at 52 bits every kind reproduces the exact path bit for
+bit (see :meth:`EmulatedArithmetic.make_matvec`).
 
 The Paige check reads the spectral extremes per storage kind too: a
 diagonal's are its smallest and largest entries, CSR operators and Gram
@@ -95,6 +115,8 @@ class EmulatedArithmetic:
     def __init__(self, cfg: PrecisionConfig):
         self.cfg = cfg
         self._bits = cfg.mantissa_bits
+        # Veltkamp's factor: c - (c - x) for c = x * split rounds x to bits + 1
+        self._split = 2.0 ** (52 - cfg.mantissa_bits) + 1.0
 
     def _rnd(self, v):
         return _round_array(v, self._bits)
@@ -124,25 +146,23 @@ class EmulatedArithmetic:
     def _rounded_sum(self, products):
         """Round each product, then add them in index order, rounding each sum.
 
-        The loop is :func:`_round_scalar` inlined.  A zero sum rounds to
-        ``+0.0``, so ``or s`` hands back the sum itself, keeping its sign.
-        ``round`` raises on an inf or NaN sum, which :func:`_round_scalar`
-        passes through unchanged, so such a sum reruns the plain loop.
+        Each sum is rounded by Veltkamp's split on Python floats (see the
+        module docstring): equal to :func:`_round_scalar`, zeros keeping
+        their sign, except that a sum whose ``c`` overflows, or an inf or
+        NaN sum, turns into NaN, which later sums keep.  A NaN result
+        therefore reruns the :func:`_round_scalar` loop on the same terms.
         """
         terms = self._rnd(products).tolist()
-        bits = self._bits
-        scale = 2.0 ** (bits + 1)
-        frexp, ldexp = math.frexp, math.ldexp
+        split = self._split
         acc = terms[0]
-        try:
-            for t in terms[1:]:
-                s = acc + t
-                mantissa, exponent = frexp(s)
-                acc = ldexp(round(mantissa * scale) / scale, exponent) or s
-        except (OverflowError, ValueError):
+        for t in terms[1:]:
+            s = acc + t
+            c = s * split
+            acc = c - (c - s)
+        if acc != acc:
             acc = terms[0]
             for t in terms[1:]:
-                acc = _round_scalar(acc + t, bits)
+                acc = _round_scalar(acc + t, self._bits)
         return acc
 
     def matvec_dense(self, mat, v):
@@ -153,32 +173,67 @@ class EmulatedArithmetic:
         of the products holds column ``j`` of ``A`` times ``v[j]``, so each
         step adds one contiguous row; the products are laid out that way
         for any layout of ``mat``, fastest when ``mat`` is Fortran-ordered.
+
+        Products and partial sums are rounded in place by Veltkamp's split
+        (see the module docstring): one work array of shape
+        ``(2,) + mat.T.shape`` holds the products and their ``c``, and each
+        step is four ufuncs.  Overflow of ``c`` leaves a NaN in the result;
+        then the frexp reference loop reruns on the same inputs, so the
+        values are :func:`round_to`'s.
         """
-        products = self._rnd(np.multiply(mat.T, v[:, None], order="C"))
-        acc = products[0]
-        for row in products[1:]:
-            acc = self._rnd(acc + row)
+        split = self._split
+        products, high = np.empty((2,) + mat.T.shape)
+        scratch = high[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(mat.T, v[:, None], out=products)
+            np.multiply(products, split, out=high)
+            np.subtract(high, products, out=products)
+            np.subtract(high, products, out=products)
+            # own memory, so the result keeps no work array alive
+            acc = products[0].copy()
+            for row in products[1:]:
+                np.add(acc, row, out=acc)
+                np.multiply(acc, split, out=scratch)
+                np.subtract(scratch, acc, out=acc)
+                np.subtract(scratch, acc, out=acc)
+            if np.isnan(acc).any():
+                products = self._rnd(np.multiply(mat.T, v[:, None], order="C"))
+                acc = products[0]
+                for row in products[1:]:
+                    acc = self._rnd(acc + row)
         return acc
 
     def make_matvec(self, a: SymmetricOperator):
-        """Return ``v -> fl(A v)`` with the entries of ``A`` rounded once.
+        """Return ``v -> fl(A v)`` with the stored entries rounded once.
 
         Each storage kind has its own kernel, and each gives the values of
         :meth:`matvec_dense` on the rounded dense matrix (the zeros it
         skips add nothing).  Diagonal storage costs one rounded product
         per entry; CSR rounds each stored product and sums every row in
-        ascending column order.  Only the Gram form ``B^T B`` is densified
-        and rounded as one matrix, a product the exact path never forms,
-        so its 52-bit run differs from the exact run (a known defect).
+        ascending column order.  The Gram form ``B^T B`` is never formed:
+        it is ``fl(B^T fl(B v))`` on the rounded factor, two dense kernels
+        (a Fortran copy of it for ``B v``, its transpose for ``B^T w``) or
+        two CSR kernels (on ``B``, then on ``B^T`` as CSR).  The exact path
+        runs the same two products in the same order, so at 52 bits, where
+        every rounding is the identity, each kind gives the exact run.
         """
         if a.kind == "diagonal":
             diag = self._rnd(a.data)
             return lambda v: self._rnd(diag * v)
         if a.kind == "sparse":
             return self._csr_matvec(a.data)
-        # Fortran order: the columns matvec_dense reads are contiguous
-        dense = np.asfortranarray(self._rnd(a.to_dense()))
-        return lambda v: self.matvec_dense(dense, v)
+        if a.kind == "dense":
+            # Fortran order: the columns matvec_dense reads are contiguous
+            dense = np.asfortranarray(self._rnd(a.data))
+            return lambda v: self.matvec_dense(dense, v)
+        b = a.data
+        if sp.issparse(b):
+            forward = self._csr_matvec(b)
+            back = self._csr_matvec(b.T.tocsr())
+            return lambda v: back(forward(v))
+        rounded = self._rnd(b)
+        cols = np.asfortranarray(rounded)
+        return lambda v: self.matvec_dense(rounded.T, self.matvec_dense(cols, v))
 
     def _csr_matvec(self, csr):
         """Emulated CSR kernel: rows accumulate in lockstep over positions.

@@ -10,6 +10,7 @@ import pytest
 from funmlab import cli
 from funmlab.cg import cg_solve, lanczos_cg_equivalence
 from funmlab.cli import ExperimentConfig, main
+from funmlab.errors import SolverFailureError
 from funmlab.functions import inverse_function
 from funmlab.hardspectrum import hard_spectrum
 from funmlab.minimax import min_degree_for, minimax
@@ -121,7 +122,21 @@ class TestConfigParsing:
         assert report["error"]["type"] == "StructuralError"
         assert "must be at least 1" in report["error"]["message"]
         assert not (out / "results.csv").exists()
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("invalid input: ") and "numerical failure" not in err
+
+    def test_solver_failure_keeps_its_label(self, tmp_path, monkeypatch, capsys):
+        def fail(cfg):
+            raise SolverFailureError("no convergence")
+
+        monkeypatch.setitem(cli._RUNNERS, "apply", fail)
+        out = tmp_path / "out"
+        argv = ["apply", "--matrix", "diag:1,2", "--k", "2", "--output-dir", str(out)]
+        assert run_cli(argv) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["type"] == "SolverFailureError"
+        assert capsys.readouterr().err == "numerical failure: no convergence\n"
 
 
 class TestSpecInvocations:

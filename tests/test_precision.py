@@ -2,6 +2,7 @@
 Paige-inequality reports."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -60,6 +61,19 @@ def diagonally_dominant(a):
 
 def refuse_to_densify(self):
     raise AssertionError(f"to_dense called on {self!r}")
+
+
+def spy(monkeypatch, owner, name):
+    """Record the arguments of every call to ``owner.name`` from now on."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 def random_unit_symmetric(seed, n):
@@ -204,7 +218,8 @@ class TestEmulatedMatvec:
 
 
 class TestStorageKernels:
-    """The per-kind emulated matvecs agree with the densified kernel."""
+    """The per-kind emulated matvecs agree with the dense kernel: on the
+    rounded matrix, or for Gram, twice on the rounded factor."""
 
     def operators(self):
         a, rng = ragged_csr(20)
@@ -246,10 +261,14 @@ class TestStorageKernels:
         m = rng.standard_normal((30, 30))
         dense = SymmetricOperator.from_dense(m + m.T)
         gram = SymmetricOperator.gram(rng.standard_normal((45, 30)))
-        for a in (dense, gram):
-            rounded = ar.round(a.to_dense())
-            v = rng.standard_normal(a.n)
-            assert ar.make_matvec(a)(v).tobytes() == ar.matvec_dense(rounded, v).tobytes()
+        rounded = ar.round(dense.to_dense())
+        v = rng.standard_normal(dense.n)
+        assert ar.make_matvec(dense)(v).tobytes() == ar.matvec_dense(rounded, v).tobytes()
+        # the Gram form is two products on the rounded factor, never B^T B
+        factor = ar.round(gram.data)
+        v = rng.standard_normal(gram.n)
+        expected = ar.matvec_dense(factor.T, ar.matvec_dense(factor, v))
+        assert ar.make_matvec(gram)(v).tobytes() == expected.tobytes()
 
     def test_full_width_kernels_equal_exact_matvec(self):
         ar = EmulatedArithmetic(PrecisionConfig(52))
@@ -261,9 +280,11 @@ class TestStorageKernels:
     def test_sparse_and_diagonal_never_densified(self, monkeypatch):
         (csr, diag), rng = self.operators()
         spd = diagonally_dominant(csr)
+        gram = SymmetricOperator.gram(
+            sp.random(60, 40, density=0.1, random_state=20, format="csr"))
         monkeypatch.setattr(SymmetricOperator, "to_dense", refuse_to_densify)
         ar = EmulatedArithmetic(PrecisionConfig(16))
-        for a in (csr, diag, spd):
+        for a in (csr, diag, spd, gram):
             ar.make_matvec(a)(rng.standard_normal(a.n))
             _, run = lanczos_emulated(a, rng.standard_normal(a.n), 8, PrecisionConfig(16))
             paige_report(run, a)
@@ -274,6 +295,26 @@ class TestStorageKernels:
         x = rng.standard_normal(a.n)
         exact = lanczos_decompose(a, x, 20, breakdown_tol=0.0)
         emulated, _ = lanczos_emulated(a, x, 20, PrecisionConfig(52))
+        for field in ("q_basis", "alphas", "betas", "beta_next", "q_next",
+                      "steps_taken"):
+            assert np.array_equal(getattr(emulated, field),
+                                  getattr(exact, field)), field
+
+    @pytest.mark.parametrize("shape", ["dense", "sparse", "row", "column"])
+    def test_full_width_gram_equals_exact_run(self, shape):
+        rng = np.random.default_rng(24)
+        factor = {
+            "dense": lambda: rng.standard_normal((300, 150)),
+            "sparse": lambda: sp.random(300, 150, density=0.05, random_state=24,
+                                        format="csr"),
+            "row": lambda: rng.standard_normal((1, 5)),
+            "column": lambda: rng.standard_normal((7, 1)),
+        }[shape]()
+        a = SymmetricOperator.gram(factor)
+        x = rng.standard_normal(a.n)
+        k = min(a.n, 20)
+        exact = lanczos_decompose(a, x, k, breakdown_tol=0.0)
+        emulated, _ = lanczos_emulated(a, x, k, PrecisionConfig(52))
         for field in ("q_basis", "alphas", "betas", "beta_next", "q_next",
                       "steps_taken"):
             assert np.array_equal(getattr(emulated, field),
@@ -297,7 +338,16 @@ class TestStorageKernels:
 
 
 class TestEmulatedReductions:
-    """Emulated dot and norm against a scalar loop of ``round_to``."""
+    """Emulated dot, norm and dense matvec against a scalar loop of ``round_to``.
+
+    :meth:`rows` holds signed zeros, exact ties (``bits + 2`` significant
+    bits, the last one set) in products and partial sums, and subnormal
+    partial sums.  With ``huge`` it also holds entries near
+    ``2^(1024 - (52 - bits))``, past ``2^(1023 - (52 - bits))``, whose
+    split overflows, so the kernels must rerun the frexp loop.
+    """
+
+    SPLIT_WIDTHS = (4, 8, 16, 23, 24, 32, 52)
 
     @staticmethod
     def reference_sum(terms, cfg):
@@ -305,6 +355,9 @@ class TestEmulatedReductions:
         for t in terms[1:]:
             acc = round_to(acc + t, cfg)
         return acc
+
+    def reference_dot(self, u, v, cfg):
+        return self.reference_sum([round_to(x * y, cfg) for x, y in zip(u, v)], cfg)
 
     @pytest.mark.parametrize("bits", BITS + (5, 11))
     def test_dot_and_norm_match_scalar_loop(self, bits):
@@ -333,6 +386,66 @@ class TestEmulatedReductions:
             expected = self.reference_sum([round_to(float(t), cfg) for t in u], cfg)
             # repr tells -0.0 from 0.0 and names nan
             assert repr(ar.dot(u, np.ones_like(u))) == repr(expected), terms
+
+    @staticmethod
+    def rows(bits, huge):
+        tie = 2.0 ** -(bits + 1)
+        sub = 2.0**-1074
+        rng = np.random.default_rng(bits)
+        rows = [
+            [-0.0, -0.0, -0.0, -0.0],
+            [0.0, -0.0, -0.0, 0.0],
+            [1.0, tie, 3.0 * tie, -tie],
+            [1.0 + tie, 1.0 + 3.0 * tie, -(1.0 + tie), 2.0 + 4.0 * tie],
+            list(rng.integers(1, 2**52, 4) * sub),
+            [2.0**-1022 * (1.0 + tie), -(2.0**-1022), 5.0 * sub, -3.0 * sub],
+        ]
+        if huge:
+            # c = x (2^s + 1) overflows once |x| reaches about 2^(1024 - s)
+            big = 1.25 * 2.0 ** min(1023, 1024 - (52 - bits))
+            rows += [[big, big, -1.0, 3.0], [1.0, -big, -big, big]]
+        return np.array(rows)
+
+    @pytest.mark.parametrize("huge", [False, True])
+    @pytest.mark.parametrize("bits", SPLIT_WIDTHS)
+    def test_matvec_dense_equals_round_to_loop(self, bits, huge, monkeypatch):
+        cfg = PrecisionConfig(bits)
+        mat = self.rows(bits, huge)
+        v = np.array([1.0, -1.0, 0.5, 1.0])
+        expected = [self.reference_dot(row, v.tolist(), cfg) for row in mat.tolist()]
+        ar = EmulatedArithmetic(cfg)
+        fallback = spy(monkeypatch, EmulatedArithmetic, "_rnd")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = ar.matvec_dense(mat, v)
+        assert bool(fallback) == huge
+        assert [repr(x) for x in out.tolist()] == [repr(x) for x in expected]
+
+    @pytest.mark.parametrize("huge", [False, True])
+    @pytest.mark.parametrize("bits", SPLIT_WIDTHS)
+    def test_dot_and_norm_equal_round_to_loop(self, bits, huge, monkeypatch):
+        cfg = PrecisionConfig(bits)
+        rows = self.rows(bits, huge)
+        # squares as large as the entries ``dot`` is given, themselves finite
+        roots = rows.copy()
+        if huge:
+            roots[-2:] = np.sqrt(np.abs(rows[-2:])) * np.sign(rows[-2:])
+        v = np.array([1.0, -1.0, 0.5, 1.0])
+        dots = [self.reference_dot(u, v.tolist(), cfg) for u in rows.tolist()]
+        norms = [round_to(math.sqrt(self.reference_dot(u, u, cfg)), cfg)
+                 for u in roots.tolist()]
+        ar = EmulatedArithmetic(cfg)
+        scalar_calls = spy(monkeypatch, precision, "_round_scalar")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got_dots = [ar.dot(u, v) for u in rows]
+            assert bool(scalar_calls) == huge
+            scalar_calls.clear()
+            got_norms = [ar.norm(u) for u in roots]
+        # each norm rounds its square root once; more calls are the fallback
+        assert (len(scalar_calls) > len(roots)) == huge
+        assert [repr(x) for x in got_dots] == [repr(x) for x in dots]
+        assert [repr(x) for x in got_norms] == [repr(x) for x in norms]
 
 
 class TestEmulatedLanczos:
