@@ -4,14 +4,15 @@ Every operator exposes its action only through ``matvec``.  Dense and
 sparse products accumulate in ascending index order so results are
 bit-reproducible for a given build; no parallel reductions are used.
 
-A dense product is one numpy reduction over a C-contiguous array of
-terms whose row ``j`` holds the ``j``-th term of every output entry.
-numpy reduces a strided (non-contiguous) axis one row at a time, adding
-each row into the running sums, so every entry is summed in ascending
-``j``.  Reducing the contiguous axis instead would sum it pairwise, which
-is why the terms are always laid out in C order.  Dense matrices and Gram
-factors are stored C-contiguous so that building the terms reads them in
-order.
+A dense product is one ``np.einsum("ji,j->i", cols, v)`` over a
+C-contiguous ``cols`` (dense matrices and Gram factors are stored so):
+einsum keeps the larger-stride axis ``j`` outermost and its float64 loop
+adds each rounded product ``cols[j, i] * v[j]`` into ``out[i]``, so every
+entry is summed in ascending ``j`` with no temporary array.  Entries that
+sum to zero are recomputed for their sign of zero, and one output column
+is widened to two by a contiguous copy (see :func:`_ascending_sum`).  Bit
+identity with a left-to-right loop needs an einsum loop that does not
+fuse multiply-add; numpy's x86-64-v2 SIMD baseline has no FMA.
 """
 
 from __future__ import annotations
@@ -45,26 +46,36 @@ def check_vector(v, n=None, name="vector"):
     return v
 
 
-def ascending_matvec(mat, v):
-    """Dense ``mat @ v`` with strictly ascending-index accumulation per row.
-
-    Column ``j`` of ``mat`` times ``v[j]`` is row ``j`` of the terms, and
-    the rows are summed first to last (see :func:`_ascending_sum`), which
-    pins the floating-point summation order (unlike BLAS-backed ``@``).
-    """
-    return _ascending_sum(mat.T, v)
-
-
 def _ascending_sum(cols, v):
     """``sum_j cols[j] * v[j]`` with every entry summed in ascending ``j``.
 
-    The terms are built in C order whatever the layout of ``cols``, so the
-    reduction runs over the strided axis, one row at a time; a C-contiguous
-    ``cols`` is only faster to read.  A single output column would be
-    reduced as one contiguous vector, pairwise, so it is broadcast to two
-    identical columns to keep the reduction on the strided axis.  Starting
-    from ``-0.0``, which adds nothing to any float, keeps the first term's
-    sign of zero, as a left-to-right loop does.
+    ``cols`` must be C-contiguous, so that einsum runs ``j`` in its outer
+    loop and adds the rounded products in turn.  einsum starts each sum
+    from ``+0.0`` where a left-to-right loop starts from its first term;
+    the two differ only on an entry whose terms are all ``-0.0``, so
+    entries that sum to zero are recomputed by :func:`_reduce_ascending`.
+    On one column, or a zero-stride broadcast of it, einsum sums the
+    column as one contiguous vector in another order, so a single column
+    is repeated into two.
+    """
+    width = cols.shape[1]
+    if width == 1:
+        cols = np.repeat(cols, 2, axis=1)
+    out = np.einsum("ji,j->i", cols, v, optimize=False)[:width]
+    zero = np.flatnonzero(out == 0.0)
+    if zero.size:
+        out[zero] = _reduce_ascending(cols[:, zero], v)
+    return out
+
+
+def _reduce_ascending(cols, v):
+    """``sum_j cols[j] * v[j]`` as one numpy reduction started from ``-0.0``.
+
+    The terms are built in C order, so ``add.reduce`` runs over the strided
+    axis one row at a time and sums every entry in ascending ``j``; a
+    single column is broadcast to two so that it is not reduced as one
+    contiguous vector, pairwise.  ``-0.0`` adds nothing to any float and
+    keeps the first term's sign of zero, as a left-to-right loop does.
     """
     terms = np.multiply(cols, v[:, None], order="C")
     width = terms.shape[1]
@@ -86,6 +97,8 @@ class SymmetricOperator:
     def __init__(self, kind, data, norm_hint=None):
         self._kind = kind
         self._data = data
+        if self.n == 0:
+            raise StructuralError("operator dimension must be at least 1, got 0")
         if norm_hint is not None and norm_hint < 0:
             raise StructuralError("norm_hint must be nonnegative")
         self.norm_hint = norm_hint
@@ -133,10 +146,10 @@ class SymmetricOperator:
 
     @classmethod
     def from_diagonal(cls, diag, norm_hint=None):
-        diag = check_vector(diag, name="diagonal")
+        op = cls(cls._DIAGONAL, check_vector(diag, name="diagonal"), norm_hint)
         if norm_hint is None:
-            norm_hint = float(np.max(np.abs(diag))) if diag.size else 0.0
-        return cls(cls._DIAGONAL, diag, norm_hint)
+            op.norm_hint = float(np.max(np.abs(op.data)))
+        return op
 
     @classmethod
     def gram(cls, b, norm_hint=None):

@@ -16,7 +16,7 @@ from funmlab import (
     load_matrix_market,
     spectral_range,
 )
-from funmlab.operators import ascending_matvec
+from funmlab import operators
 
 
 def random_symmetric(rng, n, norm=1.0):
@@ -150,14 +150,29 @@ class TestAscendingOrder:
             assert out[1] == 0.0 and not np.signbit(out[1])
 
     @pytest.mark.parametrize(
-        "shape", [(500, 250), (30, 45), (200, 1), (1, 200), (7, 7)]
+        "shape",
+        [
+            (500, 250),
+            (30, 45),
+            (200, 1),
+            (1, 200),
+            (7, 7),
+            (2, 1000),
+            (1000, 2),
+            (3, 5000),
+            (5000, 3),
+            (9000, 20),
+            (20, 9000),
+        ],
     )
     def test_dense_factor_gram(self, shape):
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
-        b = spread(rng, shape)
+        big = spread(rng, (2 * shape[0], 2 * shape[1]))
         v = spread(rng, shape[1])
-        expected = left_to_right(b.T, left_to_right(b, v))
-        assert SymmetricOperator.gram(b).matvec(v).tobytes() == expected.tobytes()
+        c_ordered = np.ascontiguousarray(big[: shape[0], : shape[1]])
+        for b in (c_ordered, np.asfortranarray(c_ordered), big[::2, ::2]):
+            expected = left_to_right(b.T, left_to_right(b, v))
+            assert SymmetricOperator.gram(b).matvec(v).tobytes() == expected.tobytes()
 
     def test_layouts_and_views(self):
         rng = np.random.default_rng(11)
@@ -177,9 +192,61 @@ class TestAscendingOrder:
         rng = np.random.default_rng(shape[0] + shape[1])
         mat = spread(rng, shape)
         v = spread(rng, shape[1])
-        expected = left_to_right(mat, v).tobytes()
-        for m in (mat, np.asfortranarray(mat)):
-            assert ascending_matvec(m, v).tobytes() == expected
+        expected = left_to_right(mat.T, left_to_right(mat, v)).tobytes()
+        for b in (mat, np.asfortranarray(mat)):
+            assert SymmetricOperator.gram(b).matvec(v).tobytes() == expected
+
+    def test_strided_input_vector(self):
+        """A column of a basis array, as Lanczos passes it, is a strided view."""
+        rng = np.random.default_rng(12)
+        basis = spread(rng, (200, 7))
+        v = basis[:, 3]
+        assert not v.flags.c_contiguous
+        m = spread_symmetric(rng, 200)
+        dense = SymmetricOperator.from_dense(m).matvec(v)
+        assert dense.tobytes() == left_to_right(m, v).tobytes()
+        for b in (spread(rng, (90, 200)), spread(rng, (1, 200))):
+            expected = left_to_right(b.T, left_to_right(b, v))
+            assert SymmetricOperator.gram(b).matvec(v).tobytes() == expected.tobytes()
+
+    def test_zero_sums_recomputed_exactly_when_present(self, monkeypatch):
+        """einsum starts from +0.0, so only entries summing to zero are redone."""
+        calls = []
+        reduce_ascending = operators._reduce_ascending
+
+        def spy(cols, v):
+            calls.append(cols.shape[1])
+            return reduce_ascending(cols, v)
+
+        monkeypatch.setattr(operators, "_reduce_ascending", spy)
+        rng = np.random.default_rng(13)
+        m = spread_symmetric(rng, 50)
+        # a unit diagonal gives the all-zero row 0 and the cancelling row 1
+        # nonzero sums, so no entry sums to zero
+        a = SymmetricOperator.from_dense(m + np.diag(np.full(50, 1.0)))
+        v = spread(rng, 50)
+        assert np.all(a.matvec(v) != 0.0)
+        assert calls == []
+        a = SymmetricOperator.from_dense(m)
+        v = negative_spread(rng, 50)
+        out = a.matvec(v)
+        assert calls == [int(np.count_nonzero(out == 0.0))] and calls[0] >= 2
+        assert out.tobytes() == left_to_right(m, v).tobytes()
+        # row 0: every term is -0.0; row 1: 1 * v[2] - 1 * v[3] cancels exactly
+        assert out[0] == 0.0 and np.signbit(out[0])
+        assert out[1] == 0.0 and not np.signbit(out[1])
+
+    def test_einsum_rounds_each_product(self):
+        """Bit identity needs einsum's float64 loop not to fuse multiply-add.
+
+        ``(1+e)**2`` rounds to ``1+2e``, so the rounded sum below is exactly
+        zero; a fused multiply-add (as a numpy build with an FMA SIMD
+        baseline, for example on aarch64 NEON, may use) keeps ``e**2``.
+        """
+        e = 2.0**-30
+        cols = np.repeat(np.array([[-(1 + 2 * e)], [1 + e]]), 2, axis=1)
+        out = np.einsum("ji,j->i", cols, np.array([1.0, 1 + e]), optimize=False)
+        assert out.tolist() == [0.0, 0.0]
 
 
 class TestConstruction:
@@ -197,6 +264,26 @@ class TestConstruction:
     def test_rejects_nonsquare(self):
         with pytest.raises(StructuralError):
             SymmetricOperator.from_dense(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SymmetricOperator.from_dense(np.zeros((0, 0))),
+            lambda: SymmetricOperator.from_sparse(np.zeros((0, 0))),
+            lambda: SymmetricOperator.from_diagonal([]),
+            lambda: SymmetricOperator.gram(np.zeros((3, 0))),
+        ],
+        ids=["dense", "sparse", "diagonal", "gram"],
+    )
+    def test_dimension_zero_rejected(self, build):
+        with pytest.raises(StructuralError, match="at least 1"):
+            build()
+
+    def test_gram_factor_without_rows_is_the_zero_operator(self):
+        a = SymmetricOperator.gram(np.zeros((0, 3)))
+        out = a.matvec(np.array([1.0, -2.0, 3.0]))
+        assert a.n == 3 and out.tolist() == [0.0, 0.0, 0.0]
+        assert np.all(np.signbit(out))
 
     def test_negative_norm_hint_rejected(self):
         with pytest.raises(StructuralError):
