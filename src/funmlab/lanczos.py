@@ -5,6 +5,15 @@ so the double-precision path and the reduced-precision emulation in
 :mod:`funmlab.precision` execute the identical sequence of operations.
 At full width the emulated run therefore reproduces this module's output
 bit for bit.
+
+The basis is stored as rows: step i writes ``q_i`` into row i of a
+C-ordered ``(k, n)`` buffer, one contiguous write, and the decomposition
+holds ``Q`` as the transpose view, an F-contiguous ``(n, k)`` array with
+no copy.  A column write into a C-ordered ``(n, k)`` array would stride
+by k floats per entry, touching a new cache line for each of the n
+entries.  The layout changes no value of the recurrence; it does decide
+which BLAS kernel forms ``Q z`` and ``Q T``, and so the last bits of
+those products.
 """
 
 from __future__ import annotations
@@ -31,6 +40,10 @@ class LanczosDecomposition:
     Satisfies ``A Q = Q T + beta_next q_next e_k^T`` up to the roundoff
     studied by the precision lab.  ``betas`` holds the off-diagonal
     entries ``beta_2 .. beta_m`` for ``m = steps_taken``.
+
+    ``q_basis`` is F-contiguous, ``(n, m)``: the transpose of the row
+    buffer the recurrence fills (see the module docstring), holding
+    exactly m rows of n floats also after a breakdown.
     """
 
     q_basis: np.ndarray
@@ -47,13 +60,18 @@ class LanczosDecomposition:
         return TridiagonalMatrix(self.alphas, self.betas)
 
     def prefix(self, j) -> "LanczosDecomposition":
-        """The ``j``-step run from the same start, bit for bit: no step reads ``k``."""
+        """The ``j``-step run from the same start, bit for bit: no step reads ``k``.
+
+        Equal field for field, layout included: ``q_basis`` is an
+        F-ordered copy of the first ``j`` columns, as a ``j``-step run
+        stores it, so products with it round as that run's do.
+        """
         if not 1 <= j <= self.requested_k:
             raise StructuralError(f"prefix length must be in 1..{self.requested_k}")
         if j >= self.steps_taken:
             return replace(self, requested_k=j, breakdown=self.steps_taken < j)
         return replace(
-            self, q_basis=self.q_basis[:, :j].copy(), alphas=self.alphas[:j],
+            self, q_basis=self.q_basis[:, :j].copy(order="F"), alphas=self.alphas[:j],
             betas=self.betas[:j - 1], beta_next=float(self.betas[j - 1]),
             q_next=self.q_basis[:, j].copy(), steps_taken=j, requested_k=j,
             breakdown=False,
@@ -63,11 +81,10 @@ class LanczosDecomposition:
 class ExactArithmetic:
     """Double-precision ops with ascending-index accumulation throughout."""
 
-    def scale(self, c, v):
-        return c * v
-
-    def sub(self, u, v):
-        return u - v
+    def sub_scaled(self, w, c, v):
+        """``w - c v``, rounded as ``w - (c * v)``; one temporary, no argument written."""
+        t = c * v
+        return np.subtract(w, t, out=t)
 
     def div(self, v, c):
         return v / c
@@ -105,7 +122,7 @@ def lanczos_core(matvec, x, k, ops, breakdown_tol, norm_hint, eps):
     q_prev = np.zeros(n)
     q = ops.div(x, x_norm)
     beta = 0.0
-    basis = np.empty((n, k))
+    rows = np.empty((k, n))
     alphas = []
     betas = []
     breakdown = False
@@ -113,11 +130,11 @@ def lanczos_core(matvec, x, k, ops, breakdown_tol, norm_hint, eps):
     q_next = np.zeros(n)
 
     for i in range(1, k + 1):
-        basis[:, i - 1] = q
+        rows[i - 1] = q
         w = matvec(q)
-        w = ops.sub(w, ops.scale(beta, q_prev))
+        w = ops.sub_scaled(w, beta, q_prev)
         alpha = ops.dot(w, q)
-        w = ops.sub(w, ops.scale(alpha, q))
+        w = ops.sub_scaled(w, alpha, q)
         beta_next = ops.norm(w)
         alphas.append(alpha)
         # the running max folds in the same order as max() over all alphas
@@ -139,9 +156,10 @@ def lanczos_core(matvec, x, k, ops, breakdown_tol, norm_hint, eps):
 
     steps = len(alphas)
     if steps < k:
-        basis = np.ascontiguousarray(basis[:, :steps])
+        # a copy, so the k-row buffer is freed
+        rows = rows[:steps].copy()
     return LanczosDecomposition(
-        q_basis=basis,
+        q_basis=rows.T,
         alphas=np.asarray(alphas, dtype=float),
         betas=np.asarray(betas, dtype=float),
         beta_next=float(beta_next),

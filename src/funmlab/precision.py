@@ -130,6 +130,9 @@ class EmulatedArithmetic:
     def sub(self, u, v):
         return self._rnd(u - v)
 
+    def sub_scaled(self, w, c, v):
+        return self.sub(w, self.scale(c, v))
+
     def add(self, u, v):
         return self._rnd(u + v)
 

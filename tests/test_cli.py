@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 from funmlab import cli
 from funmlab.cg import cg_solve, lanczos_cg_equivalence
@@ -345,6 +347,27 @@ class TestCommands:
             "--k", "2", "--output-dir", str(out),
         ])
         assert code == 0
+
+    def test_precision_sweep_at_scale_never_densifies(self, tmp_path, monkeypatch):
+        """The lab on an n = 2500 Matrix Market Laplacian, with ``to_dense`` refused."""
+        m = 50
+        t = sp.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
+        grid = (sp.kron(t, sp.identity(m)) + sp.kron(sp.identity(m), t)) * 0.125
+        mtx = tmp_path / "laplacian.mtx"
+        scipy.io.mmwrite(mtx, grid.tocoo(), symmetry="symmetric")
+
+        def refuse_to_densify(self):
+            raise AssertionError(f"to_dense called on {self!r}")
+
+        monkeypatch.setattr(SymmetricOperator, "to_dense", refuse_to_densify)
+        out = tmp_path / "out"
+        code = run_cli(["precision-sweep", "--matrix", f"mtx:{mtx}", "--bits",
+                        "8,16,24,52", "--k", "40", "--output-dir", str(out)])
+        assert code == 0
+        rows = read_rows(out)
+        assert [int(r["bits"]) for r in rows] == [8, 16, 24, 52]
+        assert all(r["steps"] == "40" and r["passed"] == "true" for r in rows), rows
+        assert json.loads((out / "report.json").read_text())["report"]["passed"]
 
     def test_hard_spectrum_source(self, tmp_path):
         out = tmp_path / "out"

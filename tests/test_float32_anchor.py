@@ -73,6 +73,9 @@ class Float32Arithmetic:
     def sub(self, u, v):
         return stored(f32(u) - f32(v))
 
+    def sub_scaled(self, w, c, v):
+        return self.sub(w, self.scale(c, v))
+
     def add(self, u, v):
         return stored(f32(u) + f32(v))
 

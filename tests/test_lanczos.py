@@ -24,6 +24,7 @@ from funmlab import (
     orthogonality_defect,
     three_term_residual,
 )
+from funmlab.lanczos import ExactArithmetic
 
 EPS = np.finfo(float).eps
 
@@ -213,6 +214,7 @@ def assert_same_decomposition(got, want):
         if isinstance(w, np.ndarray):
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), field.name
             assert g.flags.c_contiguous == w.flags.c_contiguous, field.name
+            assert g.flags.f_contiguous == w.flags.f_contiguous, field.name
         else:
             assert type(g) is type(w) and g == w, field.name
 
@@ -262,3 +264,56 @@ class TestPrefix:
         for j in (0, 3):
             with pytest.raises(StructuralError):
                 dec.prefix(j)
+
+
+def owning_array(view):
+    """The array that owns the memory behind ``view``."""
+    while view.base is not None:
+        view = view.base
+    return view
+
+
+class TestExactArithmetic:
+    def test_sub_scaled_rounds_as_sub_of_scale_and_writes_no_argument(self):
+        rng = np.random.default_rng(15)
+        w, v = rng.standard_normal(1000), rng.standard_normal(1000)
+        w_in, v_in = w.copy(), v.copy()
+        for c in (0.0, -0.0, 1.5, -3e-300, 7e200):
+            out = ExactArithmetic().sub_scaled(w, c, v)
+            assert out.tobytes() == (w_in - c * v_in).tobytes()
+            assert not np.shares_memory(out, w) and not np.shares_memory(out, v)
+        assert w.tobytes() == w_in.tobytes() and v.tobytes() == v_in.tobytes()
+
+
+class TestBasisLayout:
+    """The basis is stored as rows, handed out as an F-contiguous view."""
+
+    def test_full_run_is_a_view_of_the_row_buffer(self):
+        a, rng = random_unit_symmetric(12, 50)
+        dec = lanczos_decompose(a, rng.standard_normal(50), 20)
+        assert dec.steps_taken == 20 and not dec.breakdown
+        assert dec.q_basis.shape == (50, 20) and dec.q_basis.flags.f_contiguous
+        assert not dec.q_basis.flags.c_contiguous
+        assert owning_array(dec.q_basis).size == 20 * 50
+
+    @pytest.mark.parametrize("emulated", [False, True], ids=["exact", "emulated"])
+    def test_breakdown_frees_the_unused_rows(self, emulated):
+        # two eigenvalues and n = 4^8: every step is exact, and beta_3 is 0
+        n, k = 4**8, 30
+        a = SymmetricOperator.from_diagonal(np.repeat([1.0, 3.0], n // 2))
+        x = np.ones(n)
+        dec = (lanczos_emulated(a, x, k, PrecisionConfig(52))[0] if emulated
+               else lanczos_decompose(a, x, k))
+        assert dec.breakdown and dec.steps_taken == 2
+        assert dec.q_basis.shape == (n, 2) and dec.q_basis.flags.f_contiguous
+        # s n floats are kept, not the k n of the buffer the run filled
+        assert owning_array(dec.q_basis).size == 2 * n
+
+    def test_prefix_is_an_f_ordered_copy(self):
+        a, rng = random_unit_symmetric(13, 40)
+        full = lanczos_decompose(a, rng.standard_normal(40), 25)
+        for j in (2, 7, 24):
+            part = full.prefix(j)
+            assert part.q_basis.flags.f_contiguous and part.q_basis.base is None
+            assert not np.shares_memory(part.q_basis, full.q_basis)
+            assert part.q_next.flags.c_contiguous
