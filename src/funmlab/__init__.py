@@ -14,8 +14,8 @@ from .applications import (
     step_reduction_operator,
     top_singular_value,
 )
-from .cg import CgTrace, anorm_optimality_check, cg_solve, lanczos_cg_equivalence
-from .chebyshev import ChebyshevExpansion, cheb_T, cheb_U, cheb_interpolate
+from .cg import CgTrace, cg_solve, lanczos_cg_equivalence
+from .chebyshev import ChebyshevExpansion
 from .errors import (
     CapacityError,
     DomainError,
@@ -48,7 +48,6 @@ from .operators import (
     SymmetricOperator,
     exact_matrix_function,
     load_matrix_market,
-    spectral_range,
 )
 from .precision import (
     LanczosDiagnostics,

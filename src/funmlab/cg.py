@@ -1,4 +1,4 @@
-"""Conjugate gradient for positive definite systems, with Lanczos cross-checks.
+"""Conjugate gradient for positive definite systems, with a Lanczos cross-check.
 
 The recurrence is the textbook one (``alpha = <r,r>/<p,Ap>``,
 ``beta = <r',r'>/<r,r>``, ``p = r' + beta p``).  Erratum: the paper's
@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import ChebyshevExpansion
 from .errors import NonpositiveCurvatureError, StructuralError
 from .functions import inverse_function
 from .lanczos import apply_function, lanczos_decompose
-from .operators import EigenDecomposition, SymmetricOperator, check_vector
+from .operators import SymmetricOperator, check_vector
 
 _EPS = np.finfo(float).eps
 
@@ -117,36 +116,3 @@ def lanczos_cg_equivalence(a: SymmetricOperator, b, k):
         np.linalg.norm(trace.solution - y_lanczos) / np.linalg.norm(reference)
     )
 
-
-def anorm_optimality_check(a: SymmetricOperator, b, k, trial_polys=100, seed=0):
-    """Check A-norm optimality of the k-th CG iterate against random polynomials.
-
-    Samples ``trial_polys`` random degree-(k-1) polynomials expressed in
-    the Chebyshev basis of the spectral hull and verifies that none beats
-    the CG iterate in the A-norm (up to 1e-9 slack).  One dense ``eigh``
-    serves every candidate ``p(A) b``; each equals
-    :func:`~funmlab.operators.exact_matrix_function`'s bit for bit.
-    """
-    b = check_vector(b, a.n, name="b")
-    trace = cg_solve(a, b, k)
-    dense = a.to_dense()
-    exact = np.linalg.solve(dense, b)
-
-    def a_norm(v):
-        return float(np.sqrt(max(v @ a.matvec(v), 0.0)))
-
-    cg_error = a_norm(exact - trace.solution)
-    spectrum = np.linalg.eigvalsh(dense)
-    hull = (float(spectrum[0]), float(spectrum[-1]))
-    if hull[0] == hull[1]:
-        hull = (hull[0] - 0.5, hull[1] + 0.5)
-
-    eig = EigenDecomposition(*np.linalg.eigh(dense))
-    rng = np.random.default_rng(seed)
-    for _ in range(trial_polys):
-        coeffs = rng.uniform(-1.0, 1.0, size=k)
-        poly = ChebyshevExpansion(hull, coeffs)
-        candidate = eig.apply(poly.evaluate, b)
-        if a_norm(exact - candidate) < cg_error - 1e-9:
-            return False
-    return True

@@ -1,9 +1,4 @@
-"""Chebyshev polynomials and expansions on arbitrary intervals.
-
-``cheb_T`` and ``cheb_U`` run the three-term recurrences directly (not
-trig identities), since the recurrence itself is the stability object
-the rest of the package reasons about.
-"""
+"""Chebyshev expansions on arbitrary intervals, evaluated by Clenshaw."""
 
 from __future__ import annotations
 
@@ -14,47 +9,12 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .errors import StructuralError
-from .functions import evaluate_scalar
-
-
-def cheb_T(i, x):
-    """First-kind Chebyshev value T_i(x) via T_i = 2x T_{i-1} - T_{i-2}."""
-    if i < 0:
-        raise StructuralError("first-kind index must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if i == 0:
-        return prev if prev.ndim else float(prev)
-    cur = x.copy()
-    for _ in range(i - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur if cur.ndim else float(cur)
-
-
-def cheb_U(i, x):
-    """Second-kind Chebyshev value U_i(x); U_i = 0 for i < 0."""
-    x = np.asarray(x, dtype=float)
-    if i < 0:
-        out = np.zeros_like(x)
-        return out if out.ndim else float(out)
-    prev = np.ones_like(x)
-    if i == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 2.0 * x
-    for _ in range(i - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur if cur.ndim else float(cur)
 
 
 def to_unit(x, interval):
     """Affine map from ``[a, b]`` onto ``[-1, 1]``."""
     a, b = interval
     return (2.0 * np.asarray(x, dtype=float) - (a + b)) / (b - a)
-
-
-def from_unit(t, interval):
-    a, b = interval
-    return 0.5 * ((b - a) * np.asarray(t, dtype=float) + (a + b))
 
 
 @dataclass(frozen=True)
@@ -84,33 +44,5 @@ class ChebyshevExpansion:
         """Clenshaw evaluation."""
         return npcheb.chebval(to_unit(x, self.interval), self.coeffs)
 
-    def evaluate_direct(self, x):
-        """Plain sum of c_i T_i(x); cross-checks Clenshaw in the tests."""
-        t = to_unit(x, self.interval)
-        total = np.zeros_like(np.asarray(t, dtype=float))
-        for i, c in enumerate(self.coeffs):
-            if c != 0.0:
-                total = total + c * cheb_T(i, t)
-        return total
-
     def __call__(self, x):
         return self.evaluate(x)
-
-
-def cheb_interpolate(f, interval, degree) -> ChebyshevExpansion:
-    """Interpolate ``f`` at the ``degree + 1`` Chebyshev nodes of ``interval``.
-
-    Exact (to roundoff) whenever ``f`` is a polynomial of degree at most
-    ``degree``; for general ``f`` this is the standard near-best
-    projection.
-    """
-    if degree < 0:
-        raise StructuralError("degree must be nonnegative")
-    a, b = interval
-    if not a < b:
-        raise StructuralError("interpolation interval must have a < b")
-    coeffs = npcheb.chebinterpolate(
-        lambda t: evaluate_scalar(f, from_unit(t, interval)), degree
-    )
-    # chebinterpolate returns exactly degree+1 coefficients
-    return ChebyshevExpansion(interval=(a, b), coeffs=coeffs)

@@ -3,8 +3,11 @@
 Every run is fully determined by (config, seed): matrix generation uses
 ``default_rng((seed, 0))``, start vectors ``default_rng((seed, 1))``, and
 trial t of a multi-trial study ``default_rng((seed, 2, t))``.  Repeated
-runs therefore produce byte-identical ``results.csv`` bodies; wall-clock
-information lives only in ``meta.json``.
+runs at the same BLAS thread count therefore produce byte-identical
+``results.csv`` bodies; wall-clock information lives only in
+``meta.json``.  Across thread counts, the ``random-spd`` and
+``random-sym`` generators and the LAPACK oracle columns can differ, and
+so can every column computed from a generated matrix.
 
 Exit codes: 0 all bound checks passed, 1 a check failed, 2 invalid
 configuration, 3 a study raised: invalid input such as ``--trials 0``
@@ -534,18 +537,21 @@ def write_results_csv(path, command, rows):
     path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _write_json(path, payload):
+    """Write ``payload`` as sorted, indented JSON.
+
+    numpy floats subclass ``float`` and print as floats do; other numpy
+    scalars and arrays are converted by ``tolist``.
+    """
+    def numpy_value(value):
+        if isinstance(value, (np.generic, np.ndarray)):
+            return value.tolist()
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+    path.write_text(
+        json.dumps(payload, indent=2, sort_keys=True, default=numpy_value) + "\n",
+        encoding="utf-8",
+    )
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -561,20 +567,15 @@ def run(cfg: ExperimentConfig) -> int:
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "passed": False,
         }
-        (out / "report.json").write_text(
-            json.dumps(failure, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(out / "report.json", failure)
         _write_meta(out, cfg, started, exit_code=3)
         label = "invalid input" if isinstance(exc, StructuralError) else "numerical failure"
         print(f"{label}: {exc}", file=sys.stderr)
         return 3
 
     write_results_csv(out / "results.csv", cfg.command, rows)
-    payload = {"command": cfg.command, "passed": bool(passed),
-               "report": _jsonable(report)}
-    (out / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "report.json",
+                {"command": cfg.command, "passed": bool(passed), "report": report})
     exit_code = 0 if passed else 1
     _write_meta(out, cfg, started, exit_code)
     return exit_code
@@ -588,10 +589,7 @@ def _write_meta(out, cfg, started, exit_code):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "exit_code": exit_code,
     }
-    (out / "meta.json").write_text(
-        json.dumps(_jsonable(meta), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out / "meta.json", meta)
 
 
 @functools.cache

@@ -1,44 +1,21 @@
-"""Named scalar functions with optional magnitude certificates."""
+"""Named scalar functions that evaluate elementwise and reject non-finite output."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, StructuralError
 
-_BOUND_GRID = 10_000
-
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A scalar map ``f`` with an optional a-priori bound on an interval.
-
-    ``bound`` certifies ``|f(x)| <= bound`` on ``interval``; it is checked
-    against a 10^4-point sample at construction time.
-    """
+    """A named scalar map ``f``, applied elementwise to arrays."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    bound: Optional[float] = None
-    interval: Optional[Tuple[float, float]] = None
-
-    def __post_init__(self):
-        if (self.bound is None) != (self.interval is None):
-            raise StructuralError("bound and interval must be given together")
-        if self.interval is not None:
-            a, b = self.interval
-            if not a <= b:
-                raise StructuralError("interval endpoints must be ordered")
-            grid = np.linspace(a, b, _BOUND_GRID)
-            sampled = self.evaluate(grid)
-            peak = float(np.max(np.abs(sampled)))
-            if self.bound < peak:
-                raise StructuralError(
-                    f"bound {self.bound} is below sampled max |f| = {peak}"
-                )
 
     def evaluate(self, x):
         """Evaluate elementwise; non-finite output raises naming the point."""

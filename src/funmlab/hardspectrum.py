@@ -102,7 +102,6 @@ def hard_spectrum(kappa, eta, z_cap=DEFAULT_Z_CAP) -> HardSpectrum:
     eigenvalues = eigenvalues[order]
     buckets = buckets[order]
 
-    intervals = IntervalUnion(tuple((lam - eta, lam + eta) for lam in eigenvalues))
     return HardSpectrum(
         kappa=float(kappa),
         eta=float(eta),
@@ -111,7 +110,7 @@ def hard_spectrum(kappa, eta, z_cap=DEFAULT_Z_CAP) -> HardSpectrum:
         num_buckets=num_buckets,
         eigenvalues=eigenvalues,
         bucket_index=buckets,
-        intervals=intervals,
+        intervals=IntervalUnion.from_points(eigenvalues, eta),
     )
 
 

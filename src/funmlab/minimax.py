@@ -60,24 +60,21 @@ class IntervalUnion:
         object.__setattr__(self, "intervals", tuple(cleaned))
 
     @classmethod
-    def single(cls, lo, hi, grid_per_interval=DEFAULT_GRID):
-        return cls(((lo, hi),), grid_per_interval)
+    def single(cls, lo, hi):
+        return cls(((lo, hi),))
 
     @classmethod
-    def from_points(cls, points, radius=0.0, grid_per_interval=DEFAULT_GRID):
+    def from_points(cls, points, radius=0.0):
         pts = sorted(float(p) for p in points)
-        return cls(
-            tuple((p - radius, p + radius) for p in pts),
-            grid_per_interval,
-        )
+        return cls(tuple((p - radius, p + radius) for p in pts))
 
     @property
     def hull(self):
         return (self.intervals[0][0], self.intervals[-1][1])
 
-    def grid(self, per_interval=None):
+    def grid(self):
         """Chebyshev-distributed points per interval, endpoints included."""
-        m = per_interval or self.grid_per_interval
+        m = self.grid_per_interval
         pieces = []
         # second-kind nodes cos(pi j/(m-1)) include both endpoints
         nodes = np.cos(np.pi * np.arange(m - 1, -1, -1) / (m - 1))
@@ -89,9 +86,6 @@ class IntervalUnion:
                 pieces.append(mid + half * nodes)
         return np.concatenate(pieces)
 
-    def contains_zero(self):
-        return any(lo <= 0.0 <= hi for lo, hi in self.intervals)
-
 
 def chebyshev_columns(x, hull, ncols):
     """Matrix with columns T_0(t) .. T_{ncols-1}(t) for t = unit-mapped x.
@@ -102,7 +96,7 @@ def chebyshev_columns(x, hull, ncols):
     return np.ascontiguousarray(chebvander(to_unit(x, hull), ncols - 1))
 
 
-def _solve_epigraph(grid, values, hull, degree, constraint_at_zero, seeds):
+def _solve_epigraph(grid, values, hull, degree, seeds):
     """Epigraph LP ``min t`` s.t. ``|p(x) - f(x)| <= t`` on every grid point.
 
     Solved by constraint generation: the LP runs on the rows of an active
@@ -127,12 +121,6 @@ def _solve_epigraph(grid, values, hull, degree, constraint_at_zero, seeds):
     cost[ncols] = 1.0
     bounds = [(None, None)] * ncols + [(0.0, None)]
 
-    a_eq = b_eq = None
-    if constraint_at_zero is not None:
-        a_eq = np.zeros((1, ncols + 1))
-        a_eq[0, :ncols] = chebyshev_columns(np.array([0.0]), hull, ncols)[0]
-        b_eq = np.array([float(constraint_at_zero)])
-
     active = np.zeros(grid.size, dtype=bool)
     active[seeds] = True
     while True:
@@ -143,10 +131,7 @@ def _solve_epigraph(grid, values, hull, degree, constraint_at_zero, seeds):
         a_ub[:, ncols] = -1.0
         b_ub = np.concatenate([rhs, -rhs])
         for method in ("highs-ipm", "highs-ds"):
-            result = linprog(
-                cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                bounds=bounds, method=method,
-            )
+            result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method=method)
             if result.success:
                 break
         else:
@@ -189,7 +174,7 @@ def _local_extrema(domain, expansion, f, per_interval):
     return np.concatenate(extrema)
 
 
-def minimax(f, domain: IntervalUnion, degree, constraint_at_zero=None):
+def minimax(f, domain: IntervalUnion, degree):
     """Best (grid) uniform approximation of ``f`` on ``domain``.
 
     Returns ``(expansion, delta)`` where ``delta`` is the maximum error
@@ -197,15 +182,12 @@ def minimax(f, domain: IntervalUnion, degree, constraint_at_zero=None):
     never an LP level, so it cannot understate the error.  Both LPs are
     solved by constraint generation on the full grid, the exchange
     re-solve starting from the base solution's near-binding points and the
-    new extrema.  ``constraint_at_zero`` adds the interpolation condition
-    ``p(0) = value``.
+    new extrema.
     """
     if degree < 0:
         raise StructuralError("degree must be nonnegative")
     if degree > DEGREE_CAP:
         raise CapacityError(f"minimax degree capped at {DEGREE_CAP}, got {degree}")
-    if constraint_at_zero is not None and domain.contains_zero():
-        raise DomainError("p(0) constraint requires 0 outside the domain")
 
     hull = domain.hull
     if hull[0] == hull[1]:
@@ -219,7 +201,7 @@ def minimax(f, domain: IntervalUnion, degree, constraint_at_zero=None):
     base = domain.grid()
     values = evaluate_scalar(f, base)
     coeffs, err, level = _solve_epigraph(
-        base, values, hull, degree, constraint_at_zero, _interval_seeds(domain)
+        base, values, hull, degree, _interval_seeds(domain)
     )
     expansion = ChebyshevExpansion(hull, coeffs)
 
@@ -230,7 +212,7 @@ def minimax(f, domain: IntervalUnion, degree, constraint_at_zero=None):
         near = base[err >= level * (1.0 - 1e-6)]
         seeds = np.searchsorted(grid, np.concatenate([near, extra]))
         coeffs, _, _ = _solve_epigraph(
-            grid, evaluate_scalar(f, grid), hull, degree, constraint_at_zero, seeds
+            grid, evaluate_scalar(f, grid), hull, degree, seeds
         )
         expansion = ChebyshevExpansion(hull, coeffs)
     else:

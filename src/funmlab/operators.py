@@ -128,16 +128,12 @@ class SymmetricOperator:
         return cls(cls._DENSE, np.ascontiguousarray(mat), norm_hint)
 
     @classmethod
-    def from_sparse(cls, mat, norm_hint=None, symmetrize=False):
+    def from_sparse(cls, mat, norm_hint=None):
         mat = sp.csr_matrix(mat, dtype=float)
         if mat.shape[0] != mat.shape[1]:
             raise StructuralError(f"expected a square matrix, got shape {mat.shape}")
         if (mat != mat.T).nnz != 0:
-            if not symmetrize:
-                raise StructuralError(
-                    "sparse matrix is not exactly symmetric (pass symmetrize=True)"
-                )
-            mat = 0.5 * (mat + mat.T.tocsr())
+            raise StructuralError("sparse matrix is not exactly symmetric")
         mat.sum_duplicates()
         mat.sort_indices()
         if not np.all(np.isfinite(mat.data)):
@@ -145,14 +141,13 @@ class SymmetricOperator:
         return cls(cls._SPARSE, mat, norm_hint)
 
     @classmethod
-    def from_diagonal(cls, diag, norm_hint=None):
-        op = cls(cls._DIAGONAL, check_vector(diag, name="diagonal"), norm_hint)
-        if norm_hint is None:
-            op.norm_hint = float(np.max(np.abs(op.data)))
-        return op
+    def from_diagonal(cls, diag):
+        """Diagonal storage; the norm hint is the norm itself, ``max |d_i|``."""
+        diag = check_vector(diag, name="diagonal")
+        return cls(cls._DIAGONAL, diag, float(np.max(np.abs(diag), initial=0.0)))
 
     @classmethod
-    def gram(cls, b, norm_hint=None):
+    def gram(cls, b):
         """Operator acting as ``B^T B`` for a rectangular ``B``."""
         if sp.issparse(b):
             b = sp.csr_matrix(b, dtype=float)
@@ -165,7 +160,7 @@ class SymmetricOperator:
             if not np.all(np.isfinite(b)):
                 raise DomainError("gram factor contains non-finite entries")
             b = np.ascontiguousarray(b)
-        return cls(cls._GRAM, b, norm_hint)
+        return cls(cls._GRAM, b)
 
     # -- protocol ----------------------------------------------------------
 
@@ -225,48 +220,24 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self):
-        return (self.vectors * self.values) @ self.vectors.T
-
     def apply(self, f, x):
         """``f(A) x = V f(values) V^T x``."""
         fvals = evaluate_scalar(f, self.values)
         return self.vectors @ (fvals * (self.vectors.T @ x))
 
 
-def exact_matrix_function(a: SymmetricOperator, f, x, cap=ORACLE_CAP):
+def exact_matrix_function(a: SymmetricOperator, f, x):
     """Ground-truth ``f(A) x`` through a full dense eigendecomposition.
 
     This is the oracle every Lanczos-path result is tested against, so it
     deliberately runs through LAPACK (``numpy.linalg.eigh``) rather than
-    any code path shared with the iterative method.
+    any code path shared with the iterative method.  Operators larger than
+    ``ORACLE_CAP`` are refused.
     """
-    if a.n > cap:
-        raise CapacityError(f"oracle limited to n <= {cap}, got n = {a.n}")
+    if a.n > ORACLE_CAP:
+        raise CapacityError(f"oracle limited to n <= {ORACLE_CAP}, got n = {a.n}")
     x = check_vector(x, a.n, name="x")
     return EigenDecomposition(*np.linalg.eigh(a.to_dense())).apply(f, x)
-
-
-def spectral_range(a: SymmetricOperator, probe_iters=30, margin=0.01):
-    """Estimate ``[lambda_min, lambda_max]`` with a short Lanczos probe.
-
-    Runs ``probe_iters`` Lanczos steps from a start drawn with seed 0 and
-    returns the extreme Ritz values widened by ``margin`` times a cheap
-    upper bound on ``||T||`` on each side.
-    """
-    if probe_iters < 1:
-        raise StructuralError("probe_iters must be at least 1")
-    from .lanczos import lanczos_decompose  # deferred: lanczos imports operators
-
-    from .tridiag import eig_tridiagonal
-
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(a.n)
-    dec = lanczos_decompose(a, x, k=probe_iters)
-    tri = dec.tridiagonal()
-    ritz = eig_tridiagonal(tri).values
-    pad = margin * tri.norm_bound()
-    return float(ritz[0] - pad), float(ritz[-1] + pad)
 
 
 # -- Matrix Market ingestion ------------------------------------------------

@@ -209,11 +209,14 @@ class EmulatedArithmetic:
     def make_matvec(self, a: SymmetricOperator):
         """Return ``v -> fl(A v)`` with the stored entries rounded once.
 
-        Each storage kind has its own kernel, and each gives the values of
-        :meth:`matvec_dense` on the rounded dense matrix (the zeros it
-        skips add nothing).  Diagonal storage costs one rounded product
-        per entry; CSR rounds each stored product and sums every row in
-        ascending column order.  The Gram form ``B^T B`` is never formed:
+        Each storage kind has its own kernel, which adds the rounded
+        products in the order, and from the start value, of that kind's
+        exact product.  Diagonal storage costs one rounded product per
+        entry.  Dense rows sum from their first product, as the exact
+        matvec's signed-zero recompute does; CSR rounds each stored product
+        and sums every row in ascending column order from ``+0.0``, as
+        scipy's CSR and CSC products do, so a row of stored ``-0.0``
+        products gives ``+0.0``.  The Gram form ``B^T B`` is never formed:
         it is ``fl(B^T fl(B v))`` on the rounded factor, two dense kernels
         (a Fortran copy of it for ``B v``, its transpose for ``B^T w``) or
         two CSR kernels (on ``B``, then on ``B^T`` as CSR).  The exact path
@@ -241,10 +244,12 @@ class EmulatedArithmetic:
     def _csr_matvec(self, csr):
         """Emulated CSR kernel: rows accumulate in lockstep over positions.
 
-        Step ``p`` adds the ``p``-th stored product of every row holding
-        more than ``p`` entries; the first product seeds each row, so a
-        row of ``m`` entries sees ``m - 1`` rounded additions in ascending
-        column order, and an empty row stays zero.
+        Every row starts from ``+0.0``, as in scipy's CSR product, and step
+        ``p`` adds the ``p``-th stored product of every row holding more
+        than ``p`` entries, so a row of ``m`` entries sees ``m`` rounded
+        additions in ascending column order.  The first addition is exact
+        except for the sign of zero: a row whose products are all ``-0.0``
+        sums to ``+0.0``, and an empty row stays ``+0.0``.
         """
         data = self._rnd(csr.data)
         indices = csr.indices
@@ -258,10 +263,7 @@ class EmulatedArithmetic:
         def matvec(v):
             products = self._rnd(data * v[indices])
             acc = np.zeros(csr.shape[0])
-            if steps:
-                rows, positions = steps[0]
-                acc[rows] = products[positions]
-            for rows, positions in steps[1:]:
+            for rows, positions in steps:
                 acc[rows] = self._rnd(acc[rows] + products[positions])
             return acc
 
@@ -450,10 +452,10 @@ def _krylov_extremes(a: SymmetricOperator):
     """Inward bounds on the extreme eigenvalues of a sparse operator.
 
     ARPACK (``eigsh`` over the exact ``a.matvec``) returns one eigenvector
-    estimate ``v`` per end.  Its start vector is drawn with seed 0, as in
-    :func:`~funmlab.operators.spectral_range`: a structured start such as
-    ``ones`` can be orthogonal to an extreme eigenvector (it is to the top
-    one of a square-grid Laplacian).  scipy's ARPACK needs n >= 2; a
+    estimate ``v`` per end.  Its start vector is drawn with seed 0, as is
+    the norm probe of :func:`~funmlab.applications.matrix_exp_apply`: a
+    structured start such as ``ones`` can be orthogonal to an extreme
+    eigenvector (it is to the top one of a square-grid Laplacian).  scipy's ARPACK needs n >= 2; a
     scalar operator (n = 1) has the one eigenvector ``e1``.
 
     For any nonzero ``v`` the exact Rayleigh quotient

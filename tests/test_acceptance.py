@@ -56,6 +56,7 @@ from funmlab.functions import (
     inverse_function,
     sqrt_function,
 )
+from reference import reconstruct
 
 INV = inverse_function()
 
@@ -416,7 +417,7 @@ def test_criterion_10_tridiagonal_contract():
             dec = eig_tridiagonal(t)
             dense = t.to_dense()
             norm_t = np.linalg.norm(dense, 2)
-            backward = np.linalg.norm(dec.reconstruct() - dense, 2)
+            backward = np.linalg.norm(reconstruct(dec) - dense, 2)
             defect = np.linalg.norm(
                 dec.vectors.T @ dec.vectors - np.eye(k), 2
             )

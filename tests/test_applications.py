@@ -74,7 +74,7 @@ class TestSoftStep:
         assert np.linalg.norm(y - reference) <= 1e-10 * np.linalg.norm(x)
 
     def test_requires_certified_norm(self):
-        b = SymmetricOperator.from_diagonal([0.4], norm_hint=0.9)
+        b = SymmetricOperator.from_dense([[0.4]], norm_hint=0.9)
         with pytest.raises(DomainError):
             soft_step_apply(b, np.ones(1), StepParams(0.2, 0.05))
 

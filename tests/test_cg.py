@@ -9,7 +9,6 @@ from funmlab import (
     NonpositiveCurvatureError,
     PrecisionConfig,
     SymmetricOperator,
-    anorm_optimality_check,
     cg_emulated,
     cg_solve,
     lanczos_cg_equivalence,
@@ -18,6 +17,7 @@ from funmlab import (
 from funmlab.chebyshev import ChebyshevExpansion
 from funmlab.functions import inverse_function
 from funmlab.operators import EigenDecomposition, exact_matrix_function
+from reference import anorm_optimality_check
 
 INV = inverse_function()
 

@@ -1,24 +1,13 @@
-"""ScalarFunction certification and lookup."""
+"""ScalarFunction evaluation and lookup."""
 
 import numpy as np
 import pytest
 
-from funmlab import DomainError, ScalarFunction, StructuralError, scalar_function_by_name
+from funmlab import DomainError, StructuralError, scalar_function_by_name
 from funmlab.functions import evaluate_scalar
 
 
 class TestScalarFunction:
-    def test_bound_checked_against_grid(self):
-        # sup |exp| on [0, 1] is e; a bound below that must be rejected
-        with pytest.raises(StructuralError):
-            ScalarFunction("exp", np.exp, bound=2.0, interval=(0.0, 1.0))
-        ok = ScalarFunction("exp", np.exp, bound=np.e, interval=(0.0, 1.0))
-        assert ok.bound == np.e
-
-    def test_bound_requires_interval(self):
-        with pytest.raises(StructuralError):
-            ScalarFunction("exp", np.exp, bound=1.0)
-
     def test_nonfinite_evaluation_names_point(self):
         f = scalar_function_by_name("inv")
         with pytest.raises(DomainError, match="0.0"):

@@ -118,7 +118,7 @@ class TestDeltaBarProbe:
         spec = hard_spectrum(8.0, 1.0 / 1280.0, z_cap=4)
         k = 3
         expansion, dbar = minimax(INV, spec.intervals, k - 1)
-        grid = spec.intervals.grid(per_interval=256)
+        grid = IntervalUnion(spec.intervals.intervals, grid_per_interval=256).grid()
         pbar = 1.0 - grid * expansion.evaluate(grid)
         hull_hi = spec.eigenvalues[-1] + spec.eta
         assert np.max(np.abs(pbar)) <= hull_hi * dbar * (1.0 + 1e-9)

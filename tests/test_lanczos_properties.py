@@ -46,23 +46,40 @@ def entries(rng, shape, sparse):
     return vals
 
 
+def stored_csr(m, stored):
+    """CSR holding ``m`` where ``stored`` is set, zeros of either sign included."""
+    rows, cols = np.nonzero(stored)
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(stored, axis=1))])
+    return sp.csr_matrix((m[rows, cols], cols, indptr), shape=m.shape)
+
+
 def build(kind, n, rows, rng, layout, sparse):
     """An operator of ``kind``; a Gram factor has ``rows`` rows.
 
-    When ``sparse``, a dense matrix or factor also gets a first column of
-    ``-0.0``, so that against a start vector with ``x[0] = 0`` and no
-    negative entry, entry 0 of ``A q_1`` sums only ``-0.0`` terms.
+    When ``sparse``, a matrix or factor also gets a first column of
+    ``-0.0`` (a symmetric matrix a first row too), so that against a start
+    vector with ``x[0] = 0`` and no negative entry, entry 0 of ``A q_1``
+    sums only ``-0.0`` terms.  CSR storage keeps its stored zeros, that
+    column included.
     """
     if kind == "diagonal":
         return SymmetricOperator.from_diagonal(entries(rng, n, sparse))
-    if kind == "sparse":
-        m = sp.random(n, n, density=0.3, random_state=rng, data_rvs=lambda size:
-                      entries(rng, size, False))
-        return SymmetricOperator.from_sparse(sp.triu(m) + sp.triu(m, 1).T)
-    if kind == "sparse-gram":
-        return SymmetricOperator.gram(sp.random(rows, n, density=0.3, random_state=rng,
-                                                format="csr"))
-    m = entries(rng, (n, n) if kind == "dense" else (rows, n), sparse)
+    square = kind in ("dense", "sparse")
+    shape = (n, n) if square else (rows, n)
+    m = entries(rng, shape, sparse)
+    if kind in ("sparse", "sparse-gram"):
+        stored = rng.random(shape) < 0.3
+        if square:
+            upper = np.triu(np.ones(shape, dtype=bool))
+            m, stored = np.where(upper, m, m.T), np.where(upper, stored, stored.T)
+        if sparse:
+            m[:, 0] = -0.0
+            stored[:, 0] = True
+            if square:
+                m[0, :] = -0.0
+                stored[0, :] = True
+        csr = stored_csr(m, stored)
+        return SymmetricOperator.from_sparse(csr) if square else SymmetricOperator.gram(csr)
     if kind == "dense":
         m = np.triu(m) + np.triu(m, 1).T
         if sparse:

@@ -36,7 +36,7 @@ class TestIntervalUnion:
         assert u.grid().tolist() == [1.0, 2.0, 3.0]
 
     def test_grid_includes_endpoints(self):
-        u = IntervalUnion.single(2.0, 4.0, grid_per_interval=9)
+        u = IntervalUnion(((2.0, 4.0),), grid_per_interval=9)
         g = u.grid()
         assert g[0] == 2.0 and g[-1] == 4.0 and g.size == 9
         assert np.all(np.diff(g) > 0)
@@ -72,9 +72,9 @@ class TestMinimax:
 
     def test_equioscillation_witness(self):
         degree = 4
-        domain = IntervalUnion.single(0.5, 2.0, grid_per_interval=128)
+        domain = IntervalUnion(((0.5, 2.0),), grid_per_interval=128)
         expansion, delta = minimax(INV, domain, degree)
-        grid = domain.grid(per_interval=1024)
+        grid = IntervalUnion(domain.intervals, grid_per_interval=1024).grid()
         err = expansion.evaluate(grid) - INV.evaluate(grid)
         near_extreme = np.abs(np.abs(err) - delta) <= 1e-6
         assert np.count_nonzero(near_extreme) >= degree + 2
@@ -95,15 +95,6 @@ class TestMinimax:
             _, delta_small = minimax(INV, small, degree)
             assert delta_small <= delta_big + 1e-12
 
-    def test_constraint_at_zero(self):
-        domain = IntervalUnion.single(0.5, 2.0)
-        expansion, _ = minimax(INV, domain, 3, constraint_at_zero=1.0)
-        assert expansion.evaluate(0.0) == pytest.approx(1.0, abs=1e-8)
-
-    def test_constraint_requires_zero_outside(self):
-        with pytest.raises(DomainError):
-            minimax(INV, IntervalUnion.single(-1.0, 1.0), 2, constraint_at_zero=1.0)
-
     def test_degree_cap(self):
         with pytest.raises(CapacityError):
             minimax(INV, IntervalUnion.single(0.5, 1.0), 300)
@@ -111,8 +102,8 @@ class TestMinimax:
     def test_grid_doubling_stability(self):
         # default grid density leaves < 1% drift when doubled
         for m in (64,):
-            base = IntervalUnion.single(0.5, 2.0, grid_per_interval=m)
-            doubled = IntervalUnion.single(0.5, 2.0, grid_per_interval=2 * m)
+            base = IntervalUnion(((0.5, 2.0),), grid_per_interval=m)
+            doubled = IntervalUnion(((0.5, 2.0),), grid_per_interval=2 * m)
             _, d1 = minimax(INV, base, 6)
             _, d2 = minimax(INV, doubled, 6)
             assert abs(d1 - d2) <= 0.01 * d2
@@ -151,7 +142,7 @@ class TestMinDegree:
             min_degree_for(INV, IntervalUnion.single(0.5, 1.0), target=0.0, k_max=3)
 
 
-def _full_grid_lp(grid, values, hull, degree, constraint_at_zero):
+def _full_grid_lp(grid, values, hull, degree):
     """The epigraph LP on every point of ``grid``, built from numpy's
     Chebyshev Vandermonde matrix and solved by HiGHS's dual simplex with
     tight tolerances."""
@@ -159,13 +150,9 @@ def _full_grid_lp(grid, values, hull, degree, constraint_at_zero):
     phi = chebvander(to_unit(grid, hull), degree)
     a_ub = np.block([[phi, -np.ones((grid.size, 1))],
                      [-phi, -np.ones((grid.size, 1))]])
-    a_eq = b_eq = None
-    if constraint_at_zero is not None:
-        a_eq = np.append(chebvander(to_unit(np.array([0.0]), hull), degree), 0.0)[None]
-        b_eq = [constraint_at_zero]
     result = linprog(
         np.append(np.zeros(ncols), 1.0), A_ub=a_ub,
-        b_ub=np.concatenate([values, -values]), A_eq=a_eq, b_eq=b_eq,
+        b_ub=np.concatenate([values, -values]),
         bounds=[(None, None)] * ncols + [(0.0, None)], method="highs-ds",
         options={"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10},
@@ -174,13 +161,13 @@ def _full_grid_lp(grid, values, hull, degree, constraint_at_zero):
     return result.x[:ncols]
 
 
-def full_grid_delta(f, domain, degree, constraint_at_zero=None):
+def full_grid_delta(f, domain, degree):
     """Oracle for ``minimax``'s delta: the full-grid LP, then the full-grid
     LP again with the local maxima of its error on an 8x denser uniform
     sample adjoined, then the measured sup on that refined grid."""
     hull = domain.hull
     grid = domain.grid()
-    coeffs = _full_grid_lp(grid, f(grid), hull, degree, constraint_at_zero)
+    coeffs = _full_grid_lp(grid, f(grid), hull, degree)
     extra = []
     for lo, hi in domain.intervals:
         if lo == hi:
@@ -191,7 +178,7 @@ def full_grid_delta(f, domain, degree, constraint_at_zero=None):
         extra += [xs[1:-1][interior], [lo, hi]]
     if extra:
         grid = np.unique(np.concatenate([grid, *extra]))
-        coeffs = _full_grid_lp(grid, f(grid), hull, degree, constraint_at_zero)
+        coeffs = _full_grid_lp(grid, f(grid), hull, degree)
     delta = float(np.max(np.abs(chebval(to_unit(grid, hull), coeffs) - f(grid))))
     return delta, float(np.max(np.abs(f(grid))))
 
@@ -201,11 +188,9 @@ class TestConstraintGeneration:
     answer must be the full-grid LP's."""
 
     @staticmethod
-    def assert_matches_oracle(domain, degree, constraint_at_zero=None):
-        _, delta = minimax(INV, domain, degree, constraint_at_zero)
-        reference, scale = full_grid_delta(
-            INV.evaluate, domain, degree, constraint_at_zero
-        )
+    def assert_matches_oracle(domain, degree):
+        _, delta = minimax(INV, domain, degree)
+        reference, scale = full_grid_delta(INV.evaluate, domain, degree)
         # 1e-6 relative; the absolute floor covers deltas at the LP's
         # resolution (delta ~ 1e-10 on kappa = 16 at degree 48)
         assert abs(delta - reference) <= 1e-6 * reference + 1e-10 * scale, (
@@ -222,10 +207,6 @@ class TestConstraintGeneration:
     def test_points(self):
         domain = IntervalUnion.from_points([0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
         self.assert_matches_oracle(domain, 3)
-
-    def test_constraint_at_zero(self):
-        domain = IntervalUnion(((0.2, 0.5), (0.8, 1.0)))
-        self.assert_matches_oracle(domain, 4, constraint_at_zero=1.0)
 
     def test_passes_few_rows(self, monkeypatch):
         module = importlib.import_module("funmlab.minimax")

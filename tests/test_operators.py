@@ -14,9 +14,9 @@ from funmlab import (
     UnsupportedFormatError,
     exact_matrix_function,
     load_matrix_market,
-    spectral_range,
 )
 from funmlab import operators
+from funmlab.applications import _spectral_range
 
 
 def random_symmetric(rng, n, norm=1.0):
@@ -287,7 +287,7 @@ class TestConstruction:
 
     def test_negative_norm_hint_rejected(self):
         with pytest.raises(StructuralError):
-            SymmetricOperator.from_diagonal([1.0], norm_hint=-1.0)
+            SymmetricOperator.from_dense([[1.0]], norm_hint=-1.0)
 
 
 class TestExactMatrixFunction:
@@ -331,9 +331,9 @@ class TestExactMatrixFunction:
         np.testing.assert_allclose(composed, staged, rtol=1e-12)
 
     def test_oracle_cap(self):
-        a = SymmetricOperator.from_diagonal(np.ones(10))
+        a = SymmetricOperator.from_diagonal(np.ones(operators.ORACLE_CAP + 1))
         with pytest.raises(CapacityError):
-            exact_matrix_function(a, np.exp, np.ones(10), cap=5)
+            exact_matrix_function(a, np.exp, np.ones(a.n))
 
     def test_domain_error_names_eigenvalue(self):
         a = SymmetricOperator.from_diagonal([1.0, -4.0])
@@ -342,27 +342,29 @@ class TestExactMatrixFunction:
 
 
 class TestSpectralRange:
+    """The Lanczos probe behind ``matrix_exp_apply``'s norm bound: min(n, 30)
+    steps, Ritz extremes widened by 0.05 times a bound on ``||T||``."""
+
     def test_three_step_probe_recovers_spectrum(self):
         a = SymmetricOperator.from_diagonal([1.0, 2.0, 3.0])
-        lo, hi = spectral_range(a, probe_iters=3, margin=0.0)
-        assert math.isclose(lo, 1.0, abs_tol=1e-9)
-        assert math.isclose(hi, 3.0, abs_tol=1e-9)
+        lo, hi = _spectral_range(a)
+        # three steps find both extremes; the widening is symmetric and at
+        # most 0.05 sqrt(3) ||T||, the bound on a tridiagonal row sum
+        assert math.isclose(lo + hi, 4.0, abs_tol=1e-9)
+        assert 1.0 - 0.05 * math.sqrt(3.0) * 3.0 <= lo < 1.0
+        assert 3.0 < hi <= 3.0 + 0.05 * math.sqrt(3.0) * 3.0
 
     def test_single_eigenvalue(self):
+        # the probe breaks down after one step: T = [1], widened by 0.05
         a = SymmetricOperator.from_diagonal(np.ones(4))
-        lo, hi = spectral_range(a, probe_iters=2, margin=0.0)
-        assert math.isclose(lo, 1.0, abs_tol=1e-10)
-        assert math.isclose(hi, 1.0, abs_tol=1e-10)
+        lo, hi = _spectral_range(a)
+        assert math.isclose(lo, 0.95, abs_tol=1e-10)
+        assert math.isclose(hi, 1.05, abs_tol=1e-10)
 
     def test_margin_widens_to_cover(self):
         a = SymmetricOperator.from_diagonal([-1.0, 1.0])
-        lo, hi = spectral_range(a, probe_iters=2, margin=0.1)
+        lo, hi = _spectral_range(a)
         assert lo <= -1.0 and hi >= 1.0
-
-    def test_requires_positive_iters(self):
-        a = SymmetricOperator.from_diagonal([1.0])
-        with pytest.raises(StructuralError):
-            spectral_range(a, probe_iters=0)
 
 
 class TestMatrixMarket:

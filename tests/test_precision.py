@@ -300,6 +300,18 @@ class TestStorageKernels:
             assert np.array_equal(getattr(emulated, field),
                                   getattr(exact, field)), field
 
+    def test_full_width_csr_row_of_negative_zeros_sums_to_positive_zero(self):
+        # against x[0] = 0, row 0's one product is -1 * 0.0 = -0.0; scipy's
+        # CSR product sums it from +0.0, and so must the kernel
+        a = SymmetricOperator.from_sparse(
+            np.array([[-1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 3.0]]))
+        x = np.array([0.0, 1.0, 1.0])
+        exact = lanczos_decompose(a, x, 2, breakdown_tol=0.0)
+        emulated, _ = lanczos_emulated(a, x, 2, PrecisionConfig(52))
+        assert not np.signbit(exact.q_basis[0, 1])
+        for field in ("q_basis", "q_next"):
+            assert getattr(emulated, field).tobytes() == getattr(exact, field).tobytes()
+
     @pytest.mark.parametrize("shape", ["dense", "sparse", "row", "column"])
     def test_full_width_gram_equals_exact_run(self, shape):
         rng = np.random.default_rng(24)
